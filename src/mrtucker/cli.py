@@ -178,10 +178,11 @@ def cmd_decompose(args) -> int:
 def cmd_synth(args) -> int:
     with open(args.spec) as fh:
         raw = json.load(fh)
-    for key in ("shape", "ranks"):
-        if key in raw:
-            raw[key] = tuple(raw[key])
-    spec = SynthSpec(**raw)
+    try:        # a spec that is not an object of well-typed SynthSpec fields
+        spec = SynthSpec(**{k: tuple(v) if k in ("shape", "ranks") else v
+                            for k, v in raw.items()})
+    except (AttributeError, TypeError) as exc:
+        raise ValueError(f"{args.spec}: bad synth spec: {exc}") from None
     samples, truth = generate(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -236,7 +237,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, OSError, FloatingPointError, json.JSONDecodeError, TypeError) as exc:
+    except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -102,13 +102,21 @@ def row_sums(g: WeightGraph) -> np.ndarray:
     return g.row_sums()
 
 
+def _adjacency(w: np.ndarray):
+    """Nonzero pattern of w: per-row (neighbour indices, weights), and the
+    i < j edges as arrays (i, j, w_ij) in row-major order."""
+    rows, cols = np.nonzero(w)
+    vals = w[rows, cols]
+    cuts = np.searchsorted(rows, np.arange(1, w.shape[0]))
+    upper = rows < cols
+    return (list(zip(np.split(cols, cuts), np.split(vals, cuts))),
+            (rows[upper], cols[upper], vals[upper]))
+
+
 def save_edge_list(g: WeightGraph, path) -> None:
     """Write nonzero edges as CSV rows i,j,w_ij with i < j."""
+    i, j, w = _adjacency(g.w)[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "w"])
-        m = g.m
-        for i in range(m):
-            for j in range(i + 1, m):
-                if g.w[i, j] != 0.0:
-                    writer.writerow([i, j, repr(float(g.w[i, j]))])
+        writer.writerows(zip(i.tolist(), j.tolist(), map(repr, w.tolist())))

@@ -11,6 +11,9 @@ Tensor file layout (all little-endian):
 from __future__ import annotations
 
 import json
+import math
+import os
+import re
 import struct
 from pathlib import Path
 
@@ -34,24 +37,26 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
+    """Read a DTEN file. The file size is checked against the header before
+    the payload is read, so a corrupt header cannot cause a huge allocation."""
     with open(path, "rb") as fh:
-        head = fh.read(4)
-        if head != MAGIC:
-            raise ValueError(f"{path}: bad magic {head!r}")
-        version, order = struct.unpack("<II", fh.read(8))
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(12)
+        if head[:4] != MAGIC or len(head) < 12:
+            raise ValueError(f"{path}: bad magic {head[:4]!r} or truncated header")
+        version, order = struct.unpack("<II", head[4:])
         if version != VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        if order < 1:
-            raise ValueError(f"{path}: invalid order {order}")
+        if not 1 <= order <= (size - 12) // 8:
+            raise ValueError(f"{path}: invalid order {order} for a {size}-byte file")
         shape = struct.unpack(f"<{order}Q", fh.read(8 * order))
         if any(s < 1 for s in shape):
             raise ValueError(f"{path}: invalid extents {shape}")
-        count = int(np.prod(shape, dtype=np.int64))
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError(f"{path}: truncated payload "
-                             f"({len(payload)} bytes, expected {8 * count})")
-        flat = np.frombuffer(payload, dtype="<f8", count=count)
+        count, have = math.prod(shape), size - 12 - 8 * order
+        if have != 8 * count:
+            raise ValueError(f"{path}: {'truncated' if have < 8 * count else 'trailing bytes in'}"
+                             f" payload ({have} bytes, expected {8 * count})")
+        flat = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
         return np.reshape(flat, shape, order="F").copy()
 
 
@@ -118,10 +123,15 @@ def load_run(run_dir) -> tuple[FactorSet, np.ndarray, dict, list[dict]]:
     """Read back a decompose run directory: (factors, cores, summary, trace rows)."""
     run = Path(run_dir)
     factors = FactorSet(*[read_tensor(run / f"u{n}.dten") for n in (1, 2, 3)])
-    core_paths = sorted(run.glob("core_*.dten"))
-    if not core_paths:
-        raise ValueError(f"{run}: no core tensors found")
-    cores = np.stack([read_tensor(p) for p in core_paths])
+    core_paths: dict[int, Path] = {}
+    for p in run.glob("core_*.dten"):
+        match = re.fullmatch(r"core_(\d+)\.dten", p.name)
+        if match is None or core_paths.setdefault(int(match[1]), p) is not p:
+            raise ValueError(f"{p}: core file name without an index, or a duplicate index")
+    if not core_paths or max(core_paths) != len(core_paths) - 1:
+        raise ValueError(f"{run}: core tensors must be numbered 0..n-1 without gaps; found "
+                         f"{len(core_paths)} up to index {max(core_paths, default=None)}")
+    cores = np.stack([read_tensor(core_paths[i]) for i in range(len(core_paths))])
     with open(run / "summary.json") as fh:
         summary = json.load(fh)
     trace_rows = []

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graph import WeightGraph, zero_graph
+from .graph import WeightGraph, _adjacency, zero_graph
 from .linalg import qf, thin_svd
 from .tensor import L0_TOL, mode_product, multi_mode_product, unfold
 
@@ -115,19 +115,18 @@ def soft_threshold(x, tau):
 
 def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
     """Stacked reconstructions G^(i) x_1 U_1 x_2 U_2 x_3 U_3."""
-    return multi_mode_product(cores, factors.as_list(), modes=(1, 2, 3))
+    mats = factors.as_list()    # most expanding product last: smaller transient copies
+    order = sorted(range(3), key=lambda n: mats[n].shape[0] / mats[n].shape[1])
+    return multi_mode_product(cores, [mats[n] for n in order], modes=[n + 1 for n in order])
 
 
 def _check_shapes(samples, cores, factors):
-    mats = factors.as_list()
     if samples.shape[0] != cores.shape[0]:
         raise ValueError("sample and core counts differ")
-    for n, u in enumerate(mats):
-        if u.shape != (samples.shape[n + 1], cores.shape[n + 1]):
-            raise ValueError(
-                f"factor {n} has shape {u.shape}, expected "
-                f"{(samples.shape[n + 1], cores.shape[n + 1])}"
-            )
+    for n, u in enumerate(factors.as_list()):
+        expected = (samples.shape[n + 1], cores.shape[n + 1])
+        if u.shape != expected:
+            raise ValueError(f"factor {n} has shape {u.shape}, expected {expected}")
 
 
 def objective(samples, cores, factors, graph: WeightGraph | None,
@@ -136,33 +135,44 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
     samples = np.asarray(samples, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
     _check_shapes(samples, cores, factors)
+    edges = _adjacency((graph or zero_graph(samples.shape[0])).w)[1]
+    return _terms(samples, cores, reconstruct(cores, factors), edges, config)
+
+
+def _chunks(rows: int, width: int):
+    """Slices over `rows` rows of `width` doubles each, about 1 MB at a time."""
+    step = max(1, 2 ** 17 // width)
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
+    """||a - b||_F^2 of two equal stacks, never holding a stack-sized difference."""
+    return sum(float(np.vdot(d := a[s] - b[s], d)) for s in _chunks(len(a), a[0].size))
+
+
+def _terms(samples, cores, recon, edges, config: SolverConfig):
+    """objective() from the reconstruction and the i < j edge arrays (i, j, w).
+    The manifold term is summed over edges, ~1 MB at a time: the Laplacian form
+    s.||G||^2 - <G, WG> cancels to ~1e-10 relative, too coarse for descent checks."""
     l1 = float(np.abs(cores).sum()) / config.gamma
-    resid = samples - reconstruct(cores, factors)
-    fit = 0.5 * float(np.dot(resid.ravel(), resid.ravel()))
-    manifold = 0.0
-    if graph is not None and np.any(graph.w):
-        m = cores.shape[0]
-        flat = cores.reshape(m, -1)
-        for i in range(m):
-            for j in range(i + 1, m):
-                wij = graph.w[i, j]
-                if wij != 0.0:
-                    d = flat[i] - flat[j]
-                    manifold += float(wij) * float(np.dot(d, d))
-        manifold /= config.beta
+    fit = 0.5 * _sq_dist(samples, recon)
+    flat = cores.reshape(cores.shape[0], -1)
+    ei, ej, ew = edges
+    manifold = sum(float(ew[s] @ np.einsum("ep,ep->e", d := flat[ei[s]] - flat[ej[s]], d))
+                   for s in _chunks(len(ew), flat.shape[1])) / config.beta
     return l1 + fit + manifold, l1, fit, manifold
 
 
 def _factor_cross_product(samples, cores, factors, n: int) -> np.ndarray:
-    """sum_i X^(i)_(n) Phi^(i)_(n)^T with Phi^(i) = G^(i) multiplied by the
-    other two factors."""
+    """B = sum_i Y^(i)_(n) G^(i)_(n)^T, Y^(i) = X^(i) times the other two factors
+    transposed: the data is projected down to core size first (HOOI order)."""
     mats = factors.as_list()
     other = [k for k in range(3) if k != n]
-    phi = multi_mode_product(cores, [mats[k] for k in other], modes=[k + 1 for k in other])
-    # accumulate over the sample axis: unfold along mode n+1 of the stacks
-    xs = unfold(samples, n + 1)
-    ps = unfold(phi, n + 1)
-    b = xs @ ps.T
+    # non-finite data is reported once, below, instead of as matmul warnings
+    with np.errstate(invalid="ignore", over="ignore"):
+        y = multi_mode_product(samples, [mats[k] for k in other],
+                               modes=[k + 1 for k in other], transpose=True)
+        b = unfold(y, n + 1) @ unfold(cores, n + 1).T
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
     return b
@@ -180,11 +190,11 @@ def core_threshold(graph_row_sum: float, config: SolverConfig) -> float:
     return config.beta / (config.gamma * (config.beta + 2.0 * graph_row_sum))
 
 
-def _core_target(d_i, cores, w_row, s_i, config: SolverConfig) -> np.ndarray:
-    """alpha^(i): the centre of the prox in the core subproblem."""
-    neighbor = np.tensordot(w_row, cores, axes=(0, 0))
+def _core_target(d_i, flat_cores, neighbours, s_i, config: SolverConfig) -> np.ndarray:
+    """alpha^(i), the prox centre of core i's subproblem, from its (neighbours, weights)."""
+    idx, wts = neighbours
     scale = 1.0 if config.printed_core_update else 2.0
-    return (config.beta * d_i + scale * neighbor) / (config.beta + 2.0 * s_i)
+    return (config.beta * d_i + scale * (wts @ flat_cores[idx])) / (config.beta + 2.0 * s_i)
 
 
 def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
@@ -195,12 +205,12 @@ def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
     cores = np.asarray(cores, dtype=np.float64)
     _check_shapes(samples, cores, factors)
     d_i = multi_mode_product(samples[i], factors.as_list(), transpose=True)
-    if graph is None:
-        graph = zero_graph(samples.shape[0])
-    w_row = graph.w[i]
+    w_row = (graph or zero_graph(samples.shape[0])).w[i]
+    idx = np.flatnonzero(w_row)
     s_i = float(w_row.sum())
-    alpha = _core_target(d_i, cores, w_row, s_i, config)
-    return soft_threshold(alpha, core_threshold(s_i, config))
+    alpha = _core_target(d_i.ravel(), cores.reshape(cores.shape[0], -1),
+                         (idx, w_row[idx]), s_i, config)
+    return soft_threshold(alpha, core_threshold(s_i, config)).reshape(d_i.shape)
 
 
 def init_state(samples, ranks, config: SolverConfig) -> tuple[FactorSet, np.ndarray]:
@@ -221,16 +231,14 @@ def init_state(samples, ranks, config: SolverConfig) -> tuple[FactorSet, np.ndar
         y = unfold(projected, n + 1)
         mats.append(thin_svd(y @ y.T).u[:, :ranks[n]])
         projected = mode_product(projected, mats[n].T, n + 1)
-    return FactorSet(*mats), projected
+    return FactorSet(*mats), np.ascontiguousarray(projected)
 
 
 def relative_error(prev_recon, curr_recon, samples) -> float:
     """||X_hat_new - X_hat_old||_F / ||X||_F over the stacked tensors."""
-    diff = np.asarray(curr_recon, dtype=np.float64) - np.asarray(prev_recon, dtype=np.float64)
     denom = np.linalg.norm(np.asarray(samples, dtype=np.float64).ravel())
-    if denom == 0.0:
-        return 0.0
-    return float(np.linalg.norm(diff.ravel()) / denom)
+    sq = _sq_dist(*(np.asarray(r, dtype=np.float64) for r in (curr_recon, prev_recon)))
+    return float(np.sqrt(sq) / denom) if denom else 0.0
 
 
 def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None = None,
@@ -242,106 +250,89 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     ranks = tuple(int(r) for r in ranks)
     if any(not 1 <= r <= e for r, e in zip(ranks, samples.shape[1:])):
         raise ValueError(f"ranks {ranks} incompatible with extents {samples.shape[1:]}")
-    if config is None:
-        config = SolverConfig()
-    if graph is None:
-        graph = zero_graph(samples.shape[0])
+    config = config or SolverConfig()
+    graph = graph or zero_graph(samples.shape[0])
 
     m = samples.shape[0]
     norm_x = float(np.linalg.norm(samples.ravel()))
     factors, cores = init_state(samples, ranks, config)
-    row_sums = graph.w.sum(axis=1)
+    flat = cores.reshape(m, -1)          # a view: the core sweep writes through it
+    neighbours, edges = _adjacency(graph.w)
+    row_sums = graph.row_sums()
     decrease_coef = 0.5 + row_sums / config.beta
 
-    prev_total, *_ = objective(samples, cores, factors, graph, config)
-    prev_recon = reconstruct(cores, factors)
+    recon = reconstruct(cores, factors)
+    prev_total, *_ = _terms(samples, cores, recon, edges, config)
     if not np.isfinite(prev_total):
         raise FloatingPointError("non-finite initial objective")
 
     trace = SolverTrace()
     stop_reason = "max_iter"
-    n_iter = 0
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         for n in range(3):
-            u = update_factor(samples, cores, factors, n)
-            setattr(factors, f"u{n + 1}", u)
-        d_all = multi_mode_product(samples, factors.as_list(), modes=(1, 2, 3), transpose=True)
-        old_cores = cores.copy()
+            setattr(factors, f"u{n + 1}", update_factor(samples, cores, factors, n))
+        d_all = multi_mode_product(samples, factors.as_list(), modes=(1, 2, 3),
+                                   transpose=True).reshape(m, -1)
+        old_flat = flat.copy()
         for i in range(m):       # Gauss-Seidel: sequential by construction
-            s_i = float(row_sums[i])
-            alpha = _core_target(d_all[i], cores, graph.w[i], s_i, config)
-            cores[i] = soft_threshold(alpha, core_threshold(s_i, config))
+            alpha = _core_target(d_all[i], flat, neighbours[i], row_sums[i], config)
+            flat[i] = soft_threshold(alpha, core_threshold(row_sums[i], config))
 
-        total, l1, fit, manifold = objective(samples, cores, factors, graph, config)
+        new_recon = reconstruct(cores, factors)
+        total, l1, fit, manifold = _terms(samples, cores, new_recon, edges, config)
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
-        core_moves = np.array([
-            float(np.linalg.norm((cores[i] - old_cores[i]).ravel())) ** 2 for i in range(m)
-        ])
-        bound = float(np.dot(decrease_coef, core_moves))
-        recon = reconstruct(cores, factors)
-        wall_ms = (time.perf_counter() - t0) * 1e3
+        moved = flat - old_flat
+        bound = float(np.dot(decrease_coef, np.einsum("ip,ip->i", moved, moved)))
         trace.append(IterationRecord(
-            iteration=it,
-            objective=total,
-            l1_term=l1,
-            fit_term=fit,
-            manifold_term=manifold,
-            relative_error=relative_error(prev_recon, recon, samples),
+            iteration=it, objective=total, l1_term=l1, fit_term=fit, manifold_term=manifold,
+            relative_error=relative_error(recon, new_recon, samples),
             decrease_slack=(prev_total - total) - bound,
             sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
-            wall_ms=wall_ms,
-        ))
-        n_iter = it
+            wall_ms=(time.perf_counter() - t0) * 1e3))
+        recon = new_recon
         converged = abs(total - prev_total) / max(norm_x, np.finfo(float).tiny) < config.zeta
         prev_total = total
-        prev_recon = recon
         if converged:
             stop_reason = "converged"
             break
 
     return SolveResult(factors=factors, cores=cores, trace=trace,
-                       stop_reason=stop_reason, n_iter=n_iter)
+                       stop_reason=stop_reason, n_iter=len(trace.records))
 
 
 def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph | None,
                           config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """(factor residuals per mode, core residuals per sample).
 
-    Factor residual: Frobenius norm of the fit-term gradient projected onto
-    the Stiefel tangent space at U_n. Core residual: distance of G^(i) from
-    the fixed point of its own prox update, whose step is beta / (beta + 2 s_i)
-    (about 1e-7 at the defaults), so it reads in those units rather than in
-    gradient units: a gradient of L that moves a whole graph component's cores
-    together can be large while every core residual is small. Both vanish at
-    stationary points.
+    Factor residual: Frobenius norm of the fit-term gradient -B + U_n G_(n) G_(n)^T
+    (B the factor update's cross-product; exact for orthonormal factors)
+    projected onto the Stiefel tangent space at U_n. Core residual: distance of
+    G^(i) from the fixed point of its own prox update, whose step is
+    beta / (beta + 2 s_i) (about 1e-7 at the defaults), so it reads in those
+    units rather than in gradient units: a gradient of L that moves a whole
+    graph component's cores together can be large while every core residual
+    is small. Both vanish at stationary points.
     """
     samples = np.asarray(samples, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
     _check_shapes(samples, cores, factors)
-    if graph is None:
-        graph = zero_graph(samples.shape[0])
+    graph = graph or zero_graph(samples.shape[0])
 
     mats = factors.as_list()
     factor_res = np.zeros(3)
-    for n in range(3):
-        other = [k for k in range(3) if k != n]
-        phi = multi_mode_product(cores, [mats[k] for k in other],
-                                 modes=[k + 1 for k in other])
-        ps = unfold(phi, n + 1)
-        xs = unfold(samples, n + 1)
-        grad = -(xs - mats[n] @ ps) @ ps.T
-        utg = mats[n].T @ grad
-        tangent = grad - mats[n] @ (0.5 * (utg + utg.T))
-        factor_res[n] = float(np.linalg.norm(tangent))
+    for n, u in enumerate(mats):
+        gn = unfold(cores, n + 1)
+        grad = u @ (gn @ gn.T) - _factor_cross_product(samples, cores, factors, n)
+        utg = u.T @ grad
+        factor_res[n] = float(np.linalg.norm(grad - u @ (0.5 * (utg + utg.T))))
 
     m = samples.shape[0]
-    core_res = np.zeros(m)
-    d_all = multi_mode_product(samples, mats, modes=(1, 2, 3), transpose=True)
-    for i in range(m):
-        s_i = float(graph.w[i].sum())
-        alpha = _core_target(d_all[i], cores, graph.w[i], s_i, config)
-        fixed = soft_threshold(alpha, core_threshold(s_i, config))
-        core_res[i] = float(np.linalg.norm((cores[i] - fixed).ravel()))
-    return factor_res, core_res
+    flat = cores.reshape(m, -1)
+    neighbours, _ = _adjacency(graph.w)
+    row_sums = graph.row_sums()
+    d_all = multi_mode_product(samples, mats, modes=(1, 2, 3), transpose=True).reshape(m, -1)
+    fixed = [soft_threshold(_core_target(d_all[i], flat, neighbours[i], row_sums[i], config),
+                            core_threshold(row_sums[i], config)) for i in range(m)]
+    return factor_res, np.linalg.norm(flat - np.array(fixed), axis=1)

@@ -3,7 +3,7 @@ evaluation metrics used by the acceptance tests and the CLI eval command."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -181,13 +181,7 @@ class EvalReport:
     timing_ms: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        return {
-            "reconstruction_re": self.reconstruction_re,
-            "core_sparsity": self.core_sparsity,
-            "neighbor_preservation": self.neighbor_preservation,
-            "nearest_centroid_accuracy": self.nearest_centroid_accuracy,
-            "timing_ms": self.timing_ms,
-        }
+        return asdict(self)
 
 
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4,

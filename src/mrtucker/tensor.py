@@ -84,10 +84,6 @@ def inner(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.dot(a.ravel(), b.ravel()))
 
 
-def frobenius(t: np.ndarray) -> float:
-    return float(np.linalg.norm(as_tensor(t).ravel()))
-
-
 def norms(t: np.ndarray) -> tuple[float, float, int]:
     """(Frobenius norm, l1 norm, nonzero count at tolerance L0_TOL)."""
     flat = as_tensor(t).ravel()

@@ -6,7 +6,9 @@ import json
 import numpy as np
 import pytest
 
+from mrtucker import cli
 from mrtucker.cli import main
+from mrtucker.io import write_tensor
 
 
 def run_cli(argv, capsys):
@@ -125,3 +127,34 @@ def test_sigma_parse_rejects_wrong_arity(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["ranks", "m.csv", "--sigma", "0.9,0.9"])
     assert exc.value.code == 2
+
+
+def test_documented_failures_exit_code_1(synth_dir, tmp_path, capsys):
+    # a malformed manifest, a corrupt DTEN file and a bad synth spec each end
+    # in one "error:" line and exit code 1, not a traceback
+    bad_rows = tmp_path / "rows.csv"         # second row's tensor has another shape
+    bad_rows.write_text("data/sample_0000.dten\nother.dten\n")
+    write_tensor(tmp_path / "other.dten", np.ones((2, 2, 2)))
+    corrupt = tmp_path / "corrupt.csv"
+    (tmp_path / "bad.dten").write_bytes(b"DTEN" + b"\x01\x00")
+    corrupt.write_text("bad.dten\n")
+    empty = tmp_path / "empty.csv"
+    empty.write_text("\n")
+    for manifest in (bad_rows, corrupt, empty):
+        for cmd in (["ranks", str(manifest)],
+                    ["decompose", str(manifest), "--out", str(tmp_path / "run")]):
+            code, _, err = run_cli(cmd, capsys)
+            assert code == 1 and err.startswith("error:"), (cmd, err)
+    for spec in ('{"m": "many"}', '{"shape": 3}', '{"bogus": 1}', "[1, 2]"):
+        path = tmp_path / "spec.json"
+        path.write_text(spec)
+        code, _, err = run_cli(["synth", "--spec", str(path), "--out", str(tmp_path)], capsys)
+        assert code == 1 and err.startswith("error:"), (spec, err)
+
+
+def test_programming_errors_are_not_mapped_to_exit_1(monkeypatch):
+    def broken(args):
+        raise TypeError("a bug")
+    monkeypatch.setitem(cli.COMMANDS, "ranks", broken)
+    with pytest.raises(TypeError, match="a bug"):
+        main(["ranks", "m.csv"])

@@ -1,6 +1,8 @@
 """Weight-graph construction: mutual-OR k-NN connectivity, the three weight
 strategies, tie handling, and the CSV edge-list export."""
 
+import csv
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
@@ -152,3 +154,21 @@ def test_edge_list_export(tmp_path):
     assert lines[0] == "i,j,w"
     rows = [line.split(",") for line in lines[1:]]
     assert [(int(r[0]), int(r[1]), float(r[2])) for r in rows] == [(0, 1, 1.0), (1, 2, 1.0)]
+
+
+def test_edge_list_matches_pair_loop_bytes(tmp_path):
+    # the exported CSV is byte-identical to one written by an i < j pair loop
+    rng = np.random.default_rng(4)
+    g = build_graph(rng.standard_normal((40, 3, 2, 2)), k=5, strategy="heat_kernel", delta=7.0)
+    path = tmp_path / "edges.csv"
+    save_edge_list(g, path)
+    oracle = tmp_path / "oracle.csv"
+    with open(oracle, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "j", "w"])
+        for i in range(g.m):
+            for j in range(i + 1, g.m):
+                if g.w[i, j] != 0.0:
+                    writer.writerow([i, j, repr(float(g.w[i, j]))])
+    assert path.read_bytes() == oracle.read_bytes()
+    assert len(path.read_text().splitlines()) == 1 + np.count_nonzero(g.w) // 2

@@ -2,12 +2,22 @@
 
 import json
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.testing import assert_array_equal
 
-from mrtucker import SolverConfig, SynthSpec, build_graph, generate, solve
+from mrtucker import (
+    FactorSet,
+    SolveResult,
+    SolverConfig,
+    SolverTrace,
+    SynthSpec,
+    build_graph,
+    generate,
+    solve,
+)
 from mrtucker.io import (
     load_run,
     load_samples,
@@ -137,3 +147,65 @@ def test_load_run_missing_cores(tmp_path):
         write_tensor(tmp_path / "empty" / f"u{n}.dten", np.eye(3))
     with pytest.raises(ValueError, match="core"):
         load_run(tmp_path / "empty")
+
+
+def test_load_run_orders_cores_by_integer_index(tmp_path):
+    # core_10000 sorts before core_9999 as text; the run must come back in
+    # index order
+    m = 10_001
+    cores = np.arange(m, dtype=np.float64).reshape(m, 1, 1, 1)
+    factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    save_run(tmp_path, SolveResult(factors, cores, SolverTrace(), "max_iter", 0), {})
+    assert (tmp_path / "core_10000.dten").exists() and (tmp_path / "core_9999.dten").exists()
+    _, loaded, _, _ = load_run(tmp_path)
+    assert_array_equal(loaded, cores)
+
+
+def test_load_run_rejects_gaps_and_duplicates(tmp_path):
+    for n in (1, 2, 3):
+        write_tensor(tmp_path / f"u{n}.dten", np.eye(2))
+    for i in (0, 1, 3):
+        write_tensor(tmp_path / f"core_{i:04d}.dten", np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="gaps"):
+        load_run(tmp_path)
+    write_tensor(tmp_path / "core_0002.dten", np.zeros((2, 2, 2)))
+    write_tensor(tmp_path / "core_01.dten", np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="duplicate"):
+        load_run(tmp_path)
+    (tmp_path / "core_01.dten").unlink()
+    write_tensor(tmp_path / "core_x.dten", np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError, match="index"):
+        load_run(tmp_path)
+
+
+def test_read_tensor_huge_header_does_not_allocate(tmp_path):
+    path = tmp_path / "huge.dten"
+    path.write_bytes(b"DTEN" + struct.pack("<II", 1, 1) + struct.pack("<Q", 2 ** 40)
+                     + np.zeros(4).tobytes())
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="truncated"):
+            read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
+
+
+def test_read_tensor_rejects_trailing_bytes_and_short_headers(tmp_path):
+    good = tmp_path / "good.dten"
+    write_tensor(good, np.ones((2, 3)))
+    raw = good.read_bytes()
+    trailing = tmp_path / "trailing.dten"
+    trailing.write_bytes(raw + b"\0")
+    with pytest.raises(ValueError, match="trailing"):
+        read_tensor(trailing)
+    for cut in (6, 12, 20):     # inside the fixed header, at its end, inside the extents
+        short = tmp_path / f"short{cut}.dten"
+        short.write_bytes(raw[:cut])
+        with pytest.raises(ValueError):
+            read_tensor(short)
+    huge_order = tmp_path / "order.dten"
+    huge_order.write_bytes(raw[:8] + struct.pack("<I", 2 ** 31) + raw[12:])
+    with pytest.raises(ValueError, match="order"):
+        read_tensor(huge_order)

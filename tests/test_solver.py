@@ -2,6 +2,8 @@
 updates (each checked against an independent brute-force oracle), the
 stopping rule, stationarity residuals, and the per-iteration guarantees."""
 
+import warnings
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +16,7 @@ from mrtucker import (
     WeightGraph,
     build_graph,
     generate,
+    select_ranks,
     objective,
     qf,
     relative_error,
@@ -23,6 +26,7 @@ from mrtucker import (
     update_core,
     update_factor,
 )
+from mrtucker.graph import _adjacency, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
 
@@ -91,6 +95,27 @@ def test_objective_matches_bruteforce_sum():
     assert_allclose(total, l1 + fit + manifold, rtol=1e-14)
 
 
+@pytest.mark.parametrize("strategy", ["binary", "heat_kernel"])
+def test_manifold_term_matches_pair_loop(strategy):
+    # edge-list sum against the unordered-pair loop; the 400-sample graph
+    # spans several ~1 MB edge chunks
+    rng = np.random.default_rng(31)
+    x, cores, factors = make_instance(rng, m=400, shape=(8, 7, 5), ranks=(6, 5, 4), noise=0.5)
+    g = build_graph(x, k=6, strategy=strategy, delta=50.0)
+    config = SolverConfig(beta=0.3)
+    *_, manifold = objective(x, cores, factors, g, config)
+    flat = cores.reshape(400, -1)
+    expected = 0.0
+    for i in range(400):
+        for j in range(i + 1, 400):
+            if g.w[i, j] != 0.0:
+                d = flat[i] - flat[j]
+                expected += float(g.w[i, j]) * float(np.dot(d, d))
+    expected /= config.beta
+    assert len(_adjacency(g.w)[1][2]) * flat.shape[1] > 2 ** 17
+    assert abs(manifold - expected) <= 1e-12 * expected
+
+
 def test_objective_shape_mismatch():
     rng = np.random.default_rng(4)
     x, cores, factors = make_instance(rng)
@@ -132,11 +157,30 @@ def test_update_factor_never_increases_objective():
 
 
 def test_update_factor_nonfinite():
+    # one FloatingPointError and no RuntimeWarning from the products before it
     rng = np.random.default_rng(8)
     x, cores, factors = make_instance(rng)
     x[0, 0, 0, 0] = np.inf
-    with pytest.raises((FloatingPointError, ValueError)):
-        update_factor(x, cores, factors, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in range(3):
+            with pytest.raises(FloatingPointError):
+                update_factor(x, cores, factors, n)
+
+
+def test_factor_cross_product_matches_phi_route():
+    # project-first B against sum_i X_(n) Phi_(n)^T, Phi = G times the other
+    # two factors (the data-sized route)
+    rng = np.random.default_rng(30)
+    x, cores, factors = make_instance(rng, m=5, shape=(7, 6, 5), ranks=(3, 4, 2), noise=0.3)
+    mats = factors.as_list()
+    for n in range(3):
+        other = [k for k in range(3) if k != n]
+        phi = sv.multi_mode_product(cores, [mats[k] for k in other],
+                                    modes=[k + 1 for k in other])
+        expected = sv.unfold(x, n + 1) @ sv.unfold(phi, n + 1).T
+        got = sv._factor_cross_product(x, cores, factors, n)
+        assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 # -------------------------------------------------------------- core update
@@ -202,6 +246,30 @@ def test_update_core_beats_bruteforce_grid():
         closed = out.ravel()[pos]
         best_grid = min(f(t) for t in grid)
         assert f(closed) <= best_grid + 1e-12 + abs(best_grid) * 1e-12
+
+
+@pytest.mark.parametrize("printed", [False, True])
+def test_core_target_matches_dense_row_product(printed):
+    # neighbour-row target against the dense W-row product, on a heat-kernel
+    # graph with an isolated sample, and on the zero graph
+    rng = np.random.default_rng(32)
+    x, cores, factors = make_instance(rng, m=7, noise=0.2)
+    w = build_graph(x, k=2, strategy="heat_kernel", delta=30.0).w
+    w[3, :] = w[:, 3] = 0.0
+    config = SolverConfig(gamma=2.0, beta=0.4, printed_core_update=printed)
+    scale = 1.0 if printed else 2.0
+    d = sv.multi_mode_product(x, factors.as_list(), modes=(1, 2, 3), transpose=True)
+    flat = cores.reshape(7, -1)
+    for graph_w in (w, zero_graph(7).w):
+        neighbours, _ = _adjacency(graph_w)
+        for i in range(7):
+            s_i = graph_w[i].sum()
+            dense = (config.beta * d[i] + scale * np.tensordot(graph_w[i], cores, axes=(0, 0))
+                     ) / (config.beta + 2.0 * s_i)
+            got = sv._core_target(d[i].ravel(), flat, neighbours[i], s_i, config)
+            assert_allclose(got, dense.ravel(), rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+            if not graph_w[i].any():
+                assert len(neighbours[i][0]) == 0
 
 
 def test_update_core_gauss_seidel_uses_current_values():
@@ -416,6 +484,27 @@ def test_stationarity_factor_gradient_matches_finite_difference():
     direction = rng.standard_normal(u.shape)
     fd = (fit_at(u + h * direction) - fit_at(u - h * direction)) / (2 * h)
     assert_allclose(fd, float(np.tensordot(grad, direction)), rtol=1e-4)
+
+
+def test_factor_residual_matches_data_space_form():
+    # -B + U G_(n) G_(n)^T against the data-space gradient -(X_(n) - U Phi_(n)) Phi_(n)^T
+    # at the solver's output on the paper-size instance family
+    for seed in range(20):
+        x, _ = generate(SynthSpec(seed=seed))
+        g = build_graph(x, k=4)
+        config = SolverConfig()
+        res = solve(x, g, select_ranks(x), config)
+        fr, _ = stationarity_residual(x, res.cores, res.factors, g, config)
+        mats = res.factors.as_list()
+        for n, u in enumerate(mats):
+            other = [k for k in range(3) if k != n]
+            phi = sv.multi_mode_product(res.cores, [mats[k] for k in other],
+                                        modes=[k + 1 for k in other])
+            ps = sv.unfold(phi, n + 1)
+            grad = -(sv.unfold(x, n + 1) - u @ ps) @ ps.T
+            utg = u.T @ grad
+            expected = np.linalg.norm(grad - u @ (0.5 * (utg + utg.T)))
+            assert abs(fr[n] - expected) <= 1e-9
 
 
 # ----------------------------------------------------------- relative error
