@@ -87,22 +87,20 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
     if not rows:
         raise ValueError(f"{manifest_path}: empty manifest")
 
-    tensors = []
-    labels: list[str | None] = []
-    shape = None
-    for lineno, rel, label in rows:
+    stack = None        # filled in place: no per-file list, no np.stack copy
+    for n, (lineno, rel, _) in enumerate(rows):
         t = read_tensor(base / rel)
-        if shape is None:
-            shape = t.shape
-        elif t.shape != shape:
+        if stack is None:
+            stack = np.empty((len(rows),) + t.shape)
+        elif t.shape != stack.shape[1:]:
             raise ValueError(
                 f"{manifest_path}: row {lineno} ({rel}) has shape {t.shape}, "
-                f"expected {shape}"
+                f"expected {stack.shape[1:]}"
             )
-        tensors.append(t)
-        labels.append(label)
+        stack[n] = t
+    labels = [label for _, _, label in rows]
     label_list = None if all(l is None for l in labels) else [l or "" for l in labels]
-    return np.stack(tensors), label_list
+    return stack, label_list
 
 
 def save_run(out_dir, result, summary: dict) -> None:
