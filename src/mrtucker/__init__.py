@@ -1,7 +1,7 @@
 """Manifold-regularized, l1-sparse, orthogonal Tucker decomposition of
 order-3 tensor sample sets, solved by block coordinate descent."""
 
-from .graph import WeightGraph, build_graph, row_sums, zero_graph
+from .graph import WeightGraph, build_graph, zero_graph
 from .linalg import SymEig, ThinSVD, qf, sym_eig, thin_svd
 from .ranks import RankPolicy, select_ranks
 from .solver import (
@@ -29,7 +29,7 @@ from .synth import (
 from .tensor import fold, inner, mode_product, multi_mode_product, norms, unfold
 
 __all__ = [
-    "WeightGraph", "build_graph", "row_sums", "zero_graph",
+    "WeightGraph", "build_graph", "zero_graph",
     "SymEig", "ThinSVD", "qf", "sym_eig", "thin_svd",
     "RankPolicy", "select_ranks",
     "FactorSet", "SolveResult", "SolverConfig", "SolverTrace",

@@ -75,9 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_dec.add_argument("--free-r3", action="store_true")
     p_dec.add_argument("--zeta", type=float, default=1e-4)
     p_dec.add_argument("--max-iter", type=int, default=500)
-    p_dec.add_argument("--seed", type=int, default=0,
-                       help="kept for compatibility; the HOSVD start draws no "
-                            "random numbers, so it does not change the solve")
     p_dec.add_argument("--deterministic", action="store_true")
     p_dec.add_argument("--threads", type=int, default=None,
                        help="cap BLAS threads for the solve (requires threadpoolctl)")
@@ -130,8 +127,7 @@ def cmd_decompose(args) -> int:
     strategy, delta = args.weights
     g = build_graph(samples, k=args.k, strategy=strategy, delta=delta)
     config = SolverConfig(gamma=args.gamma, beta=args.beta, zeta=args.zeta,
-                          max_iter=args.max_iter, seed=args.seed,
-                          deterministic=args.deterministic)
+                          max_iter=args.max_iter)
     limiter = _thread_limit(1 if args.deterministic else args.threads)
     t0 = time.perf_counter()
     try:
@@ -149,6 +145,7 @@ def cmd_decompose(args) -> int:
                                                  g, config)
     summary = {
         "config": dataclasses.asdict(config),
+        "deterministic": bool(args.deterministic),
         "graph": {"k": g.k, "strategy": g.strategy, "delta": g.delta},
         "ranks": list(ranks),
         "sigma": list(args.sigma),

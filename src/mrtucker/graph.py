@@ -98,10 +98,6 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
                        delta=delta if strategy == "heat_kernel" else None)
 
 
-def row_sums(g: WeightGraph) -> np.ndarray:
-    return g.row_sums()
-
-
 def _adjacency(w: np.ndarray):
     """Nonzero pattern of w: per-row (neighbour indices, weights), and the
     i < j edges as arrays (i, j, w_ij) in row-major order."""

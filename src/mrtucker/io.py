@@ -10,6 +10,7 @@ Tensor file layout (all little-endian):
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import os
@@ -61,10 +62,11 @@ def read_tensor(path) -> np.ndarray:
 
 
 def write_manifest(path, rows) -> None:
-    """rows: iterable of (relative path, label-or-None)."""
+    """rows: iterable of (relative path, label-or-None); fields holding a comma
+    or a quote are CSV-quoted."""
     with open(path, "w", newline="") as fh:
-        for rel, label in rows:
-            fh.write(f"{rel},{label}\n" if label is not None else f"{rel}\n")
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerows([rel] if label is None else [rel, label] for rel, label in rows)
 
 
 def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
@@ -76,14 +78,15 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
     manifest_path = Path(manifest_path)
     base = manifest_path.parent
     rows = []
-    with open(manifest_path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            label = parts[1].strip() if len(parts) > 1 and parts[1].strip() else None
-            rows.append((lineno, parts[0].strip(), label))
+    with open(manifest_path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            for parts in reader:
+                rel, label = ([p.strip() for p in parts] + ["", ""])[:2]
+                if rel or len(parts) > 1:       # not a blank line
+                    rows.append((reader.line_num, rel, label or None))
+        except csv.Error as exc:
+            raise ValueError(f"{manifest_path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{manifest_path}: empty manifest")
 

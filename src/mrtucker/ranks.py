@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym_eig
+from .tensor import unfold
 
 # Gram matrices of exactly low-rank data carry noise-level eigenvalues;
 # values below this fraction of the largest are zeroed before forming ratios.
@@ -27,10 +28,9 @@ class RankPolicy:
 
 def mode_energy_spectrum(samples: np.ndarray, mode: int) -> np.ndarray:
     """Descending eigenvalues of sum_i X^(i)_(mode) X^(i)_(mode)^T."""
-    samples = np.asarray(samples, dtype=np.float64)
     # sample axis is 0, tensor modes are axes 1..N; the accumulated Gram equals
     # the mode-(mode+1) Gram of the stacked array
-    y = np.reshape(np.moveaxis(samples, mode + 1, 0), (samples.shape[mode + 1], -1), order="F")
+    y = unfold(samples, mode + 1)
     return sym_eig(y @ y.T).values
 
 

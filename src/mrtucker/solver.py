@@ -17,7 +17,8 @@ s_i = sum_{j != i} w_ij.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -32,12 +33,6 @@ class SolverConfig:
     beta: float = 1e-6          # 1/beta weights the manifold term
     zeta: float = 1e-4          # stopping accuracy on |dL| / ||X||_F
     max_iter: int = 500
-    seed: int = 0               # unused: the HOSVD start draws no random numbers
-    deterministic: bool = True
-    # A/B switch: use the literature's printed core update (no factor 2 on the
-    # neighbor sum) instead of the derived subproblem minimizer. Off by default;
-    # the printed variant does not carry the descent guarantees.
-    printed_core_update: bool = False
 
     def __post_init__(self):
         if not (self.gamma > 0 and self.beta > 0 and self.zeta > 0):
@@ -46,19 +41,16 @@ class SolverConfig:
             raise ValueError("max_iter must be >= 1")
 
 
-@dataclass
-class FactorSet:
+class FactorSet(NamedTuple):
     u1: np.ndarray
     u2: np.ndarray
     u3: np.ndarray
 
     def as_list(self) -> list[np.ndarray]:
-        return [self.u1, self.u2, self.u3]
+        return list(self)
 
     def orthogonality_defect(self) -> float:
-        return max(
-            float(np.linalg.norm(u.T @ u - np.eye(u.shape[1]))) for u in self.as_list()
-        )
+        return max(float(np.linalg.norm(u.T @ u - np.eye(u.shape[1]))) for u in self)
 
 
 @dataclass
@@ -115,15 +107,15 @@ def soft_threshold(x, tau):
 
 def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
     """Stacked reconstructions G^(i) x_1 U_1 x_2 U_2 x_3 U_3."""
-    mats = factors.as_list()    # most expanding product last: smaller transient copies
-    order = sorted(range(3), key=lambda n: mats[n].shape[0] / mats[n].shape[1])
-    return multi_mode_product(cores, [mats[n] for n in order], modes=[n + 1 for n in order])
+    # most expanding product last: smaller transient copies
+    order = sorted(range(3), key=lambda n: factors[n].shape[0] / factors[n].shape[1])
+    return multi_mode_product(cores, [factors[n] for n in order], modes=[n + 1 for n in order])
 
 
 def _check_shapes(samples, cores, factors):
     if samples.shape[0] != cores.shape[0]:
         raise ValueError("sample and core counts differ")
-    for n, u in enumerate(factors.as_list()):
+    for n, u in enumerate(factors):
         expected = (samples.shape[n + 1], cores.shape[n + 1])
         if u.shape != expected:
             raise ValueError(f"factor {n} has shape {u.shape}, expected {expected}")
@@ -166,11 +158,10 @@ def _terms(samples, cores, recon, edges, config: SolverConfig):
 def _factor_cross_product(samples, cores, factors, n: int) -> np.ndarray:
     """B = sum_i Y^(i)_(n) G^(i)_(n)^T, Y^(i) = X^(i) times the other two factors
     transposed: the data is projected down to core size first (HOOI order)."""
-    mats = factors.as_list()
     other = [k for k in range(3) if k != n]
     # non-finite data is reported once, below, instead of as matmul warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        y = multi_mode_product(samples, [mats[k] for k in other],
+        y = multi_mode_product(samples, [factors[k] for k in other],
                                modes=[k + 1 for k in other], transpose=True)
         b = unfold(y, n + 1) @ unfold(cores, n + 1).T
     if not np.all(np.isfinite(b)):
@@ -190,11 +181,13 @@ def core_threshold(graph_row_sum: float, config: SolverConfig) -> float:
     return config.beta / (config.gamma * (config.beta + 2.0 * graph_row_sum))
 
 
-def _core_target(d_i, flat_cores, neighbours, s_i, config: SolverConfig) -> np.ndarray:
-    """alpha^(i), the prox centre of core i's subproblem, from its (neighbours, weights)."""
+def _core_prox(d_i, flat_cores, neighbours, s_i, config: SolverConfig) -> np.ndarray:
+    """Closed-form minimiser of core i's subproblem (cores j != i fixed), flat:
+    the prox centre alpha^(i) = (beta D^(i) + 2 sum_j w_ij G^(j)) / (beta + 2 s_i),
+    summed over the row's (neighbour indices, weights), soft-thresholded at tau^(i)."""
     idx, wts = neighbours
-    scale = 1.0 if config.printed_core_update else 2.0
-    return (config.beta * d_i + scale * (wts @ flat_cores[idx])) / (config.beta + 2.0 * s_i)
+    alpha = (config.beta * d_i + 2.0 * (wts @ flat_cores[idx])) / (config.beta + 2.0 * s_i)
+    return soft_threshold(alpha, core_threshold(s_i, config))
 
 
 def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
@@ -204,16 +197,14 @@ def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
     samples = np.asarray(samples, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
     _check_shapes(samples, cores, factors)
-    d_i = multi_mode_product(samples[i], factors.as_list(), transpose=True)
+    d_i = multi_mode_product(samples[i], factors, transpose=True)
     w_row = (graph or zero_graph(samples.shape[0])).w[i]
     idx = np.flatnonzero(w_row)
-    s_i = float(w_row.sum())
-    alpha = _core_target(d_i.ravel(), cores.reshape(cores.shape[0], -1),
-                         (idx, w_row[idx]), s_i, config)
-    return soft_threshold(alpha, core_threshold(s_i, config)).reshape(d_i.shape)
+    return _core_prox(d_i.ravel(), cores.reshape(cores.shape[0], -1), (idx, w_row[idx]),
+                      float(w_row.sum()), config).reshape(d_i.shape)
 
 
-def init_state(samples, ranks, config: SolverConfig) -> tuple[FactorSet, np.ndarray]:
+def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     """Sequentially truncated HOSVD start; cores are the projections of the data.
 
     For n = 1, 2, 3 in turn, U_n holds the leading R_n left singular vectors
@@ -223,7 +214,7 @@ def init_state(samples, ranks, config: SolverConfig) -> tuple[FactorSet, np.ndar
     start has to be data-driven: the Gauss-Seidel core sweep moves each graph
     component's core consensus by only beta / (beta + 2 s_i) of its gap per
     sweep, so a solve keeps the consensus its start gives. The start draws no
-    random numbers; ``config`` is accepted for interface stability.
+    random numbers.
     """
     projected = np.asarray(samples, dtype=np.float64)
     mats = []
@@ -255,13 +246,14 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
 
     m = samples.shape[0]
     norm_x = float(np.linalg.norm(samples.ravel()))
-    factors, cores = init_state(samples, ranks, config)
+    factors, cores = init_state(samples, ranks)
+    mats = list(factors)                 # updated in place, one mode at a time
     flat = cores.reshape(m, -1)          # a view: the core sweep writes through it
     neighbours, edges = _adjacency(graph.w)
     row_sums = graph.row_sums()
     decrease_coef = 0.5 + row_sums / config.beta
 
-    recon = reconstruct(cores, factors)
+    recon = reconstruct(cores, mats)
     prev_total, *_ = _terms(samples, cores, recon, edges, config)
     if not np.isfinite(prev_total):
         raise FloatingPointError("non-finite initial objective")
@@ -271,15 +263,13 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
         for n in range(3):
-            setattr(factors, f"u{n + 1}", update_factor(samples, cores, factors, n))
-        d_all = multi_mode_product(samples, factors.as_list(), modes=(1, 2, 3),
-                                   transpose=True).reshape(m, -1)
+            mats[n] = update_factor(samples, cores, mats, n)
+        d_all = multi_mode_product(samples, mats, modes=(1, 2, 3), transpose=True).reshape(m, -1)
         old_flat = flat.copy()
         for i in range(m):       # Gauss-Seidel: sequential by construction
-            alpha = _core_target(d_all[i], flat, neighbours[i], row_sums[i], config)
-            flat[i] = soft_threshold(alpha, core_threshold(row_sums[i], config))
+            flat[i] = _core_prox(d_all[i], flat, neighbours[i], row_sums[i], config)
 
-        new_recon = reconstruct(cores, factors)
+        new_recon = reconstruct(cores, mats)
         total, l1, fit, manifold = _terms(samples, cores, new_recon, edges, config)
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
@@ -298,7 +288,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
             stop_reason = "converged"
             break
 
-    return SolveResult(factors=factors, cores=cores, trace=trace,
+    return SolveResult(factors=FactorSet(*mats), cores=cores, trace=trace,
                        stop_reason=stop_reason, n_iter=len(trace.records))
 
 
@@ -320,9 +310,8 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     _check_shapes(samples, cores, factors)
     graph = graph or zero_graph(samples.shape[0])
 
-    mats = factors.as_list()
     factor_res = np.zeros(3)
-    for n, u in enumerate(mats):
+    for n, u in enumerate(factors):
         gn = unfold(cores, n + 1)
         grad = u @ (gn @ gn.T) - _factor_cross_product(samples, cores, factors, n)
         utg = u.T @ grad
@@ -332,7 +321,6 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     flat = cores.reshape(m, -1)
     neighbours, _ = _adjacency(graph.w)
     row_sums = graph.row_sums()
-    d_all = multi_mode_product(samples, mats, modes=(1, 2, 3), transpose=True).reshape(m, -1)
-    fixed = [soft_threshold(_core_target(d_all[i], flat, neighbours[i], row_sums[i], config),
-                            core_threshold(row_sums[i], config)) for i in range(m)]
+    d_all = multi_mode_product(samples, factors, modes=(1, 2, 3), transpose=True).reshape(m, -1)
+    fixed = [_core_prox(d_all[i], flat, neighbours[i], row_sums[i], config) for i in range(m)]
     return factor_res, np.linalg.norm(flat - np.array(fixed), axis=1)

@@ -120,13 +120,16 @@ def hooi_oracle(samples, ranks, max_iter: int = 100, tol: float = 1e-10,
 
 
 def _knn_sets(points: np.ndarray, k: int) -> list[set[int]]:
-    m = points.shape[0]
-    flat = points.reshape(m, -1)
-    sq = np.einsum("ij,ij->i", flat, flat)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * flat @ flat.T
-    np.fill_diagonal(d2, np.inf)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return [set(order[i, :k].tolist()) for i in range(m)]
+    """Each point's k nearest others, ties by lower index. Distances come from
+    direct differences, one row at a time: the Gram form |a|^2 + |b|^2 - 2<a,b>
+    ranks near-identical points (as cores pulled to a consensus) by rounding noise."""
+    flat = points.reshape(points.shape[0], -1)
+    out = []
+    for i, row in enumerate(flat):
+        d2 = np.einsum("jp,jp->j", diff := flat - row, diff)
+        d2[i] = np.inf
+        out.append(set(np.argsort(d2, kind="stable")[:k].tolist()))
+    return out
 
 
 def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:

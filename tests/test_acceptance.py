@@ -46,7 +46,7 @@ def default_instance(seed, m=24):
 def run_default(seed, m=24, **config_kwargs):
     x, _ = default_instance(seed, m=m)
     graph = build_graph(x, k=4)
-    config = SolverConfig(seed=seed, **config_kwargs)
+    config = SolverConfig(**config_kwargs)
     return x, graph, solve(x, graph, DEFAULT_RANKS, config)
 
 
@@ -85,11 +85,11 @@ def test_criterion_03_orthogonality_every_iteration():
     for seed in range(10):
         x, _ = default_instance(seed)
         graph = build_graph(x, k=4)
-        config = SolverConfig(seed=seed)
-        factors, cores = sv.init_state(x, DEFAULT_RANKS, config)
+        config = SolverConfig()
+        factors, cores = sv.init_state(x, DEFAULT_RANKS)
         for _ in range(12):
             for n in range(3):
-                setattr(factors, f"u{n + 1}", sv.update_factor(x, cores, factors, n))
+                factors = factors._replace(**{f"u{n + 1}": sv.update_factor(x, cores, factors, n)})
             for i in range(x.shape[0]):
                 cores[i] = sv.update_core(x, cores, factors, graph, config, i)
             defect = factors.orthogonality_defect()
@@ -157,7 +157,7 @@ def test_criterion_06_hooi_limit_equivalence():
                          n_clusters=2, sparsity=0.3, seed=seed)
         x, _ = generate(spec)
         res = solve(x, None, spec.ranks,
-                    SolverConfig(gamma=1e12, seed=seed, zeta=1e-10, max_iter=300))
+                    SolverConfig(gamma=1e12, zeta=1e-10, max_iter=300))
         fit_solver = 0.5 * np.linalg.norm(x - reconstruct(res.cores, res.factors)) ** 2
         _, hooi_cores = hooi_oracle(x, spec.ranks)
         fit_hooi = 0.5 * (np.linalg.norm(x) ** 2 - np.linalg.norm(hooi_cores) ** 2)
@@ -186,7 +186,7 @@ def test_criterion_07_stationarity_default_instance():
     x, _ = default_instance(0)
     x = x / np.linalg.norm(x)
     graph = build_graph(x, k=4)
-    config = SolverConfig(seed=0)
+    config = SolverConfig()
     res = solve(x, graph, DEFAULT_RANKS, config)
     assert res.stop_reason == "converged"
     fr, cr = stationarity_residual(x, res.cores, res.factors, graph, config)
@@ -234,7 +234,7 @@ def test_criterion_09_complexity_scaling():
             x, _ = default_instance(seed, m=m)
             graph = build_graph(x, k=4)
             res = solve(x, graph, DEFAULT_RANKS,
-                        SolverConfig(seed=seed, zeta=1e-15, max_iter=12))
+                        SolverConfig(zeta=1e-15, max_iter=12))
             runs.append(np.median([r.wall_ms for r in res.trace.records]))
         return float(np.median(runs))
 
@@ -275,12 +275,13 @@ def test_criterion_11_manifold_effect():
     instance): with beta=1e-6 the regularizer drives in-cluster cores toward
     consensus, which preserves cluster membership — the locality the term is
     designed for — while fine-grained in-cluster ordering is deliberately
-    smoothed away (k=4 preservation drops to ~0.54; reported for context).
+    smoothed away (k=4 preservation reads 0.81 on this instance, 0.80-0.90 on
+    seeds 0-4; reported for context).
     """
     x, truth = default_instance(0)
     graph = build_graph(x, k=4)
-    res_manifold = solve(x, graph, DEFAULT_RANKS, SolverConfig(seed=0))
-    res_w0 = solve(x, None, DEFAULT_RANKS, SolverConfig(seed=0))
+    res_manifold = solve(x, graph, DEFAULT_RANKS, SolverConfig())
+    res_w0 = solve(x, None, DEFAULT_RANKS, SolverConfig())
     np_m = neighbor_preservation(x, res_manifold.cores, 7)
     np_0 = neighbor_preservation(x, res_w0.cores, 7)
     np_m4 = neighbor_preservation(x, res_manifold.cores, 4)
@@ -304,7 +305,7 @@ def test_criterion_12_cli_determinism(tmp_path):
     for name in ("r1", "r2"):
         out = tmp_path / name
         assert main(["decompose", str(data / "manifest.csv"), "--k", "4",
-                     "--seed", "3", "--deterministic", "--out", str(out)]) == 0
+                     "--deterministic", "--out", str(out)]) == 0
         outs.append(out)
     files = ["u1.dten", "u2.dten", "u3.dten", "trace.csv"] + \
         [f"core_{i:04d}.dten" for i in range(12)]

@@ -82,12 +82,26 @@ def test_decompose_deterministic_byte_identical(synth_dir, tmp_path, capsys):
     for name in ("r1", "r2"):
         out = tmp_path / name
         code, *_ = run_cli(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",
-                            "--seed", "11", "--deterministic", "--out", str(out)], capsys)
+                            "--deterministic", "--out", str(out)], capsys)
         assert code == 0
         runs.append(out)
     for fname in ["u1.dten", "u2.dten", "u3.dten", "trace.csv"] + \
             [f"core_{i:04d}.dten" for i in range(12)]:
         assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes()
+
+
+def test_decompose_summary_config_and_no_seed(synth_dir, tmp_path, capsys):
+    # --deterministic is a run setting, not a solver field; --seed is gone
+    run = tmp_path / "run"
+    assert main(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",
+                 "--deterministic", "--out", str(run)]) == 0
+    summary = json.loads((run / "summary.json").read_text())
+    assert summary["deterministic"] is True
+    assert list(summary["config"]) == ["beta", "gamma", "max_iter", "zeta"]
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", str(synth_dir / "manifest.csv"), "--seed", "3",
+              "--out", str(run)])
+    assert exc.value.code == 2
 
 
 def test_eval_command(synth_dir, tmp_path, capsys):

@@ -115,6 +115,35 @@ def test_load_samples_shape_mismatch_names_row(tmp_path):
         load_samples(tmp_path / "manifest.csv")
 
 
+def test_manifest_roundtrip_quotes_commas(tmp_path):
+    rows = [('a, "odd" name.dten', 'happy, open mouth'), ("plain.dten", 'say "cheese"')]
+    for n, (rel, _) in enumerate(rows):
+        write_tensor(tmp_path / rel, np.full((2, 2, 2), float(n)))
+    write_manifest(tmp_path / "manifest.csv", rows)
+    samples, labels = load_samples(tmp_path / "manifest.csv")
+    assert labels == [label for _, label in rows]
+    assert_array_equal(samples[:, 0, 0, 0], [0.0, 1.0])
+
+
+def test_load_samples_unquoted_manifest(tmp_path):
+    # hand-written rows: spaces around fields, blank lines, extra columns and a
+    # missing label read as before the manifest went through the csv module
+    for name in ("a.dten", "b.dten", "c.dten"):
+        write_tensor(tmp_path / name, np.ones((2, 2, 2)))
+    (tmp_path / "manifest.csv").write_text(
+        " a.dten , happy \n\n   \nb.dten,sad,extra\r\nc.dten\n")
+    samples, labels = load_samples(tmp_path / "manifest.csv")
+    assert samples.shape == (3, 2, 2, 2)
+    assert labels == ["happy", "sad", ""]
+
+
+def test_load_samples_csv_error_names_line(tmp_path):
+    # a field over the csv module's size limit is a ValueError naming its line
+    (tmp_path / "manifest.csv").write_text("a.dten\n" + "x" * 200_000 + "\n")
+    with pytest.raises(ValueError, match="line 2"):
+        load_samples(tmp_path / "manifest.csv")
+
+
 def test_load_samples_empty_manifest(tmp_path):
     (tmp_path / "manifest.csv").write_text("\n\n")
     with pytest.raises(ValueError, match="empty"):

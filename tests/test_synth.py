@@ -147,6 +147,21 @@ def test_neighbor_preservation_identical_cores_bruteforce():
     assert_allclose(neighbor_preservation(raw, cores, 2), expected, rtol=1e-12)
 
 
+def test_neighbor_preservation_near_identical_cores():
+    # cores spread 1e-7 apart along a line, far below the Gram form's rounding
+    # (~1e-16 ||G||^2 in d^2): their ranking must still follow the line, as
+    # the raw samples' does
+    rng = np.random.default_rng(9)
+    base = rng.standard_normal((5, 5, 6))
+    base *= 77.0 / np.linalg.norm(base)
+    offset = rng.standard_normal(base.shape)
+    offset /= np.linalg.norm(offset)
+    j = np.arange(8.0)[:, None, None, None]
+    cores = base + 1e-7 * j * offset
+    raw = j * np.ones((1, 2, 2, 2))
+    assert neighbor_preservation(raw, cores, 2) == 1.0
+
+
 def test_neighbor_preservation_permuted_low():
     rng = np.random.default_rng(4)
     x, truth = generate(SynthSpec(m=30, n_clusters=5, seed=4))
