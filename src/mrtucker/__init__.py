@@ -26,7 +26,7 @@ from .synth import (
     nearest_centroid,
     neighbor_preservation,
 )
-from .tensor import fold, inner, mode_product, multi_mode_product, norms, unfold
+from .tensor import fold, mode_product, multi_mode_product, unfold
 
 __all__ = [
     "WeightGraph", "build_graph", "zero_graph",
@@ -37,7 +37,7 @@ __all__ = [
     "stationarity_residual", "update_core", "update_factor",
     "EvalReport", "SynthSpec", "evaluate", "generate", "hooi_oracle",
     "nearest_centroid", "neighbor_preservation",
-    "fold", "inner", "mode_product", "multi_mode_product", "norms", "unfold",
+    "fold", "mode_product", "multi_mode_product", "unfold",
 ]
 
 __version__ = "0.1.0"

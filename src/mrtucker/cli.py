@@ -92,13 +92,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _thread_limit(n):
+def _thread_limit(n, flag: str):
+    """Cap BLAS threads at n while the returned limiter is registered; flag
+    names the option that asked for the cap."""
     if n is None:
         return None
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
-        print("warning: threadpoolctl not installed, --threads ignored", file=sys.stderr)
+        print(f"warning: threadpoolctl not installed, {flag} ignored", file=sys.stderr)
         return None
     return threadpool_limits(limits=n)
 
@@ -128,7 +130,8 @@ def cmd_decompose(args) -> int:
     g = build_graph(samples, k=args.k, strategy=strategy, delta=delta)
     config = SolverConfig(gamma=args.gamma, beta=args.beta, zeta=args.zeta,
                           max_iter=args.max_iter)
-    limiter = _thread_limit(1 if args.deterministic else args.threads)
+    limiter = (_thread_limit(1, "--deterministic") if args.deterministic
+               else _thread_limit(args.threads, "--threads"))
     t0 = time.perf_counter()
     try:
         result = solve(samples, g, ranks, config)
@@ -191,10 +194,9 @@ def cmd_synth(args) -> int:
     io.write_manifest(out / "manifest.csv", rows)
     truth_dir = out / "truth"
     truth_dir.mkdir(exist_ok=True)
-    for n, u in enumerate(truth.factors.as_list(), start=1):
+    for n, u in enumerate(truth.factors, start=1):
         io.write_tensor(truth_dir / f"u{n}.dten", u)
-    for i in range(spec.m):
-        io.write_tensor(truth_dir / f"core_{i:04d}.dten", truth.cores[i])
+    io.write_tensor(truth_dir / "cores.dten", truth.cores)
     print(f"wrote {out / 'manifest.csv'}: {spec.m} samples of shape {spec.shape}")
     return 0
 

@@ -1,5 +1,9 @@
 """Binary tensor files, sample manifests, and run-directory serialization.
 
+A run directory holds one file per array: u1.dten, u2.dten, u3.dten (the
+factors), cores.dten (the (M, R1, R2, R3) core stack), trace.csv (one row per
+sweep) and summary.json.
+
 Tensor file layout (all little-endian):
     magic   4 bytes  b"DTEN"
     version u32      1
@@ -11,10 +15,10 @@ Tensor file layout (all little-endian):
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 import os
-import re
 import struct
 from pathlib import Path
 
@@ -24,6 +28,7 @@ from .solver import FactorSet
 
 MAGIC = b"DTEN"
 VERSION = 1
+TRACE_HEADER = "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms"
 
 
 def write_tensor(path, t: np.ndarray) -> None:
@@ -107,14 +112,17 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
 
 
 def save_run(out_dir, result, summary: dict) -> None:
-    """Write factors, cores, trace CSV and the JSON run summary."""
+    """Write factors, the core stack, the trace CSV and the JSON run summary."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    for n, u in enumerate(result.factors.as_list(), start=1):
+    for n, u in enumerate(result.factors, start=1):
         write_tensor(out / f"u{n}.dten", u)
-    for i in range(result.cores.shape[0]):
-        write_tensor(out / f"core_{i:04d}.dten", result.cores[i])
-    result.trace.save_csv(out / "trace.csv")
+    write_tensor(out / "cores.dten", result.cores)
+    with open(out / "trace.csv", "w") as fh:
+        fh.write(TRACE_HEADER + "\n")
+        for rec in result.trace.records:
+            it, *cols = dataclasses.astuple(rec)
+            fh.write(f"{it}," + ",".join(repr(float(c)) for c in cols) + "\n")
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -124,15 +132,17 @@ def load_run(run_dir) -> tuple[FactorSet, np.ndarray, dict, list[dict]]:
     """Read back a decompose run directory: (factors, cores, summary, trace rows)."""
     run = Path(run_dir)
     factors = FactorSet(*[read_tensor(run / f"u{n}.dten") for n in (1, 2, 3)])
-    core_paths: dict[int, Path] = {}
-    for p in run.glob("core_*.dten"):
-        match = re.fullmatch(r"core_(\d+)\.dten", p.name)
-        if match is None or core_paths.setdefault(int(match[1]), p) is not p:
-            raise ValueError(f"{p}: core file name without an index, or a duplicate index")
-    if not core_paths or max(core_paths) != len(core_paths) - 1:
-        raise ValueError(f"{run}: core tensors must be numbered 0..n-1 without gaps; found "
-                         f"{len(core_paths)} up to index {max(core_paths, default=None)}")
-    cores = np.stack([read_tensor(core_paths[i]) for i in range(len(core_paths))])
+    if any(u.ndim != 2 for u in factors):
+        raise ValueError(f"{run}: factors must be matrices, "
+                         f"got orders {[u.ndim for u in factors]}")
+    if not (run / "cores.dten").is_file():
+        raise ValueError(f"{run}: no cores.dten core stack (run directories in the old "
+                         f"core_<n>.dten layout are not read)")
+    cores = read_tensor(run / "cores.dten")
+    ranks = tuple(u.shape[1] for u in factors)
+    if cores.shape[1:] != ranks:         # also rejects every order but 4
+        raise ValueError(f"{run / 'cores.dten'}: core stack of shape {cores.shape}, "
+                         f"expected order 4 with extents (M,) + {ranks}")
     with open(run / "summary.json") as fh:
         summary = json.load(fh)
     trace_rows = []

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym_eig
-from .tensor import unfold
+from .tensor import _stack_norm, unfold
 
 # Gram matrices of exactly low-rank data carry noise-level eigenvalues;
 # values below this fraction of the largest are zeroed before forming ratios.
@@ -54,6 +54,7 @@ def select_ranks(samples: np.ndarray, policy: RankPolicy | None = None) -> tuple
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[0] == 0:
         raise ValueError("expected a nonempty sample set of order-3 tensors")
+    _stack_norm(samples)                # non-finite data fails here, not in sym_eig
     out = []
     for mode in range(3):
         if mode == 2 and policy.fixed_r3_to_n:

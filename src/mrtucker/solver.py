@@ -24,7 +24,7 @@ import numpy as np
 
 from .graph import WeightGraph, _adjacency, zero_graph
 from .linalg import qf, thin_svd
-from .tensor import L0_TOL, mode_product, multi_mode_product, unfold
+from .tensor import L0_TOL, _stack_norm, mode_product, multi_mode_product, unfold
 
 
 @dataclass
@@ -70,25 +70,11 @@ class IterationRecord:
 class SolverTrace:
     records: list[IterationRecord] = field(default_factory=list)
 
-    CSV_HEADER = "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms"
-
     def append(self, rec: IterationRecord) -> None:
         self.records.append(rec)
 
     def objectives(self) -> np.ndarray:
         return np.array([r.objective for r in self.records])
-
-    def csv_lines(self) -> list[str]:
-        lines = [self.CSV_HEADER]
-        for r in self.records:
-            cols = (r.objective, r.l1_term, r.fit_term, r.manifold_term,
-                    r.relative_error, r.decrease_slack, r.sparsity, r.wall_ms)
-            lines.append(f"{r.iteration}," + ",".join(repr(float(c)) for c in cols))
-        return lines
-
-    def save_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("\n".join(self.csv_lines()) + "\n")
 
 
 @dataclass
@@ -114,7 +100,8 @@ def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
 
 def _check_shapes(samples, cores, factors):
     if samples.shape[0] != cores.shape[0]:
-        raise ValueError("sample and core counts differ")
+        raise ValueError(f"sample and core counts differ: {samples.shape[0]} samples, "
+                         f"{cores.shape[0]} cores")
     for n, u in enumerate(factors):
         expected = (samples.shape[n + 1], cores.shape[n + 1])
         if u.shape != expected:
@@ -245,7 +232,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     graph = graph or zero_graph(samples.shape[0])
 
     m = samples.shape[0]
-    norm_x = float(np.linalg.norm(samples.ravel()))
+    norm_x = _stack_norm(samples)       # before init_state's Gram matrices
     factors, cores = init_state(samples, ranks)
     mats = list(factors)                 # updated in place, one mode at a time
     flat = cores.reshape(m, -1)          # a view: the core sweep writes through it

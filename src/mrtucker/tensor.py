@@ -1,4 +1,4 @@
-"""Dense tensor primitives: unfolding, folding, mode products, inner products, norms.
+"""Dense tensor primitives: unfolding, folding and mode products.
 
 Tensors are plain float64 numpy arrays. The flat-storage convention used by the
 on-disk format and by all unfoldings is first-index-fastest (Fortran order):
@@ -76,19 +76,14 @@ def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False)
     return out
 
 
-def inner(a: np.ndarray, b: np.ndarray) -> float:
-    a = as_tensor(a)
-    b = as_tensor(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return float(np.dot(a.ravel(), b.ravel()))
-
-
-def norms(t: np.ndarray) -> tuple[float, float, int]:
-    """(Frobenius norm, l1 norm, nonzero count at tolerance L0_TOL)."""
-    flat = as_tensor(t).ravel()
-    return (
-        float(np.linalg.norm(flat)),
-        float(np.abs(flat).sum()),
-        int(np.count_nonzero(np.abs(flat) > L0_TOL)),
-    )
+def _stack_norm(samples: np.ndarray) -> float:
+    """||X||_F of a sample stack, or a ValueError naming the offending samples
+    when it is not finite (NaN or inf entries, or ||X||^2 beyond float64). A
+    finite ||X||^2 keeps every Gram entry of the stack finite (Cauchy-Schwarz)."""
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below instead
+        norm = float(np.linalg.norm(samples.ravel()))
+        if not np.isfinite(norm):
+            bad = [i for i, x in enumerate(samples) if not np.isfinite(np.vdot(x, x))]
+            raise ValueError(f"samples are not finite or overflow float64 (||X||_F = "
+                             f"{norm}); non-finite ||X^(i)||^2 at samples {bad[:10]}")
+    return norm

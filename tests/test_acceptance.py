@@ -307,8 +307,7 @@ def test_criterion_12_cli_determinism(tmp_path):
         assert main(["decompose", str(data / "manifest.csv"), "--k", "4",
                      "--deterministic", "--out", str(out)]) == 0
         outs.append(out)
-    files = ["u1.dten", "u2.dten", "u3.dten", "trace.csv"] + \
-        [f"core_{i:04d}.dten" for i in range(12)]
+    files = ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]
     for fname in files:
         assert (outs[0] / fname).read_bytes() == (outs[1] / fname).read_bytes()
     print(f"\n[criterion 12] CLI determinism: PASS ({len(files)} files byte-identical)")

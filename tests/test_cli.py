@@ -2,13 +2,15 @@
 byte-identical determinism contract."""
 
 import json
+import sys
+import types
 
 import numpy as np
 import pytest
 
 from mrtucker import cli
 from mrtucker.cli import main
-from mrtucker.io import write_tensor
+from mrtucker.io import read_tensor, write_tensor
 
 
 def run_cli(argv, capsys):
@@ -34,7 +36,9 @@ def test_synth_writes_samples_and_truth(synth_dir):
     assert (synth_dir / "manifest.csv").exists()
     assert len(list(synth_dir.glob("sample_*.dten"))) == 12
     assert (synth_dir / "truth" / "u1.dten").exists()
-    assert len(list((synth_dir / "truth").glob("core_*.dten"))) == 12
+    assert sorted(p.name for p in (synth_dir / "truth").iterdir()) == \
+        ["cores.dten", "u1.dten", "u2.dten", "u3.dten"]
+    assert read_tensor(synth_dir / "truth" / "cores.dten").shape == (12, 3, 3, 4)
 
 
 def test_ranks_command(synth_dir, capsys):
@@ -65,9 +69,9 @@ def test_decompose_run_layout(synth_dir, tmp_path, capsys):
     code, out, _ = run_cli(["decompose", str(synth_dir / "manifest.csv"),
                             "--k", "3", "--max-iter", "40", "--out", str(run)], capsys)
     assert code == 0
-    for name in ("u1.dten", "u2.dten", "u3.dten", "trace.csv", "summary.json"):
-        assert (run / name).exists()
-    assert len(list(run.glob("core_*.dten"))) == 12
+    assert sorted(p.name for p in run.iterdir()) == \
+        ["cores.dten", "summary.json", "trace.csv", "u1.dten", "u2.dten", "u3.dten"]
+    assert read_tensor(run / "cores.dten").shape[0] == 12
     summary = json.loads((run / "summary.json").read_text())
     assert summary["config"]["gamma"] == 1e4
     assert summary["ranks"][2] == 4
@@ -85,8 +89,7 @@ def test_decompose_deterministic_byte_identical(synth_dir, tmp_path, capsys):
                             "--deterministic", "--out", str(out)], capsys)
         assert code == 0
         runs.append(out)
-    for fname in ["u1.dten", "u2.dten", "u3.dten", "trace.csv"] + \
-            [f"core_{i:04d}.dten" for i in range(12)]:
+    for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]:
         assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes()
 
 
@@ -121,6 +124,82 @@ def test_eval_command(synth_dir, tmp_path, capsys):
     code, out, _ = run_cli(["eval", "--run", str(run),
                             "--manifest", str(synth_dir / "manifest.csv")], capsys)
     assert code == 0 and "reconstruction_re" in out
+
+
+def test_eval_rejects_manifest_that_does_not_match_run(synth_dir, tmp_path, capsys):
+    run = tmp_path / "run"
+    assert main(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",
+                 "--max-iter", "3", "--out", str(run)]) == 0
+    short = synth_dir / "short.csv"
+    lines = (synth_dir / "manifest.csv").read_text().splitlines()
+    short.write_text("\n".join(lines[:10]) + "\n")
+    capsys.readouterr()
+    code, _, err = run_cli(["eval", "--run", str(run), "--manifest", str(short)], capsys)
+    assert code == 1
+    assert err == "error: sample and core counts differ: 10 samples, 12 cores\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_samples_exit_1(synth_dir, tmp_path, capsys):
+    # NaN, inf and overflowing data end in one "error:" line naming the
+    # sample; warnings are errors here, so none may come first
+    good = read_tensor(synth_dir / "sample_0005.dten")
+    nan, inf = good.copy(), good.copy()
+    nan[0, 0, 0], inf[0, 0, 0] = np.nan, np.inf
+    for bad in (nan, inf, good * 1e200):
+        write_tensor(synth_dir / "sample_0005.dten", bad)
+        for cmd in (["ranks", str(synth_dir / "manifest.csv")],
+                    ["decompose", str(synth_dir / "manifest.csv"), "--out", str(tmp_path / "r")]):
+            code, _, err = run_cli(cmd, capsys)
+            assert code == 1, cmd
+            assert err.startswith("error: samples are not finite") and err.count("\n") == 1
+            assert "at samples [5]" in err, err
+
+
+@pytest.fixture()
+def fake_threadpoolctl(monkeypatch):
+    """A stand-in threadpoolctl module; events records the limit requests,
+    the solve and the limiter's unregister() in the order they happen."""
+    events = []
+
+    class Limiter:
+        def __init__(self, limits):
+            events.append(("limit", limits))
+
+        def unregister(self):
+            events.append(("unregister",))
+
+    def solve(*args, **kwargs):
+        events.append(("solve",))
+        return real_solve(*args, **kwargs)
+
+    real_solve = cli.solve
+    monkeypatch.setattr(cli, "solve", solve)
+    module = types.ModuleType("threadpoolctl")
+    module.threadpool_limits = Limiter
+    monkeypatch.setitem(sys.modules, "threadpoolctl", module)
+    return events
+
+
+@pytest.mark.parametrize("flags, limit", [(["--deterministic"], 1), (["--threads", "3"], 3),
+                                          (["--deterministic", "--threads", "3"], 1),
+                                          ([], None)])
+def test_decompose_thread_limit_wraps_solve(synth_dir, tmp_path, fake_threadpoolctl,
+                                            flags, limit, capsys):
+    code, _, err = run_cli(["decompose", str(synth_dir / "manifest.csv"), "--max-iter", "2",
+                            *flags, "--out", str(tmp_path / "run")], capsys)
+    assert code == 0 and err == ""
+    expected = [("limit", limit), ("solve",), ("unregister",)] if limit else [("solve",)]
+    assert fake_threadpoolctl == expected
+
+
+@pytest.mark.parametrize("flags", [["--deterministic"], ["--threads", "3"]])
+def test_thread_limit_warning_names_the_flag(synth_dir, tmp_path, monkeypatch, flags, capsys):
+    monkeypatch.setitem(sys.modules, "threadpoolctl", None)     # import fails
+    code, _, err = run_cli(["decompose", str(synth_dir / "manifest.csv"), "--max-iter", "2",
+                            *flags, "--out", str(tmp_path / "run")], capsys)
+    assert code == 0
+    assert err == f"warning: threadpoolctl not installed, {flags[0]} ignored\n"
 
 
 def test_usage_error_exit_code_2(capsys):

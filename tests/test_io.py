@@ -18,7 +18,9 @@ from mrtucker import (
     generate,
     solve,
 )
+from mrtucker.solver import IterationRecord
 from mrtucker.io import (
+    TRACE_HEADER,
     load_run,
     load_samples,
     read_tensor,
@@ -179,32 +181,56 @@ def test_load_run_missing_cores(tmp_path):
 
 
 def test_load_run_orders_cores_by_integer_index(tmp_path):
-    # core_10000 sorts before core_9999 as text; the run must come back in
-    # index order
+    # a 10,001-sample stack goes through one cores.dten and comes back in order
     m = 10_001
     cores = np.arange(m, dtype=np.float64).reshape(m, 1, 1, 1)
     factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
     save_run(tmp_path, SolveResult(factors, cores, SolverTrace(), "max_iter", 0), {})
-    assert (tmp_path / "core_10000.dten").exists() and (tmp_path / "core_9999.dten").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == \
+        ["cores.dten", "summary.json", "trace.csv", "u1.dten", "u2.dten", "u3.dten"]
     _, loaded, _, _ = load_run(tmp_path)
     assert_array_equal(loaded, cores)
 
 
-def test_load_run_rejects_gaps_and_duplicates(tmp_path):
+def test_load_run_checks_core_stack_shape(tmp_path):
+    # cores.dten must be order 4 with extents (M, R1, R2, R3), the ranks
+    # being the factors' column counts
+    for n, r in zip((1, 2, 3), (2, 3, 4)):
+        write_tensor(tmp_path / f"u{n}.dten", np.ones((5, r)))
+    (tmp_path / "summary.json").write_text("{}")
+    (tmp_path / "trace.csv").write_text(TRACE_HEADER + "\n")
+    for bad in [(7, 2, 3), (7, 2, 3, 4, 1), (7, 3, 2, 4), (7, 2, 3, 5)]:
+        write_tensor(tmp_path / "cores.dten", np.zeros(bad))
+        with pytest.raises(ValueError, match=r"order 4 with extents \(M,\) \+ \(2, 3, 4\)"):
+            load_run(tmp_path)
+    write_tensor(tmp_path / "cores.dten", np.zeros((7, 2, 3, 4)))
+    assert load_run(tmp_path)[1].shape == (7, 2, 3, 4)
+    write_tensor(tmp_path / "u2.dten", np.ones(5))
+    with pytest.raises(ValueError, match=r"must be matrices, got orders \[2, 1, 2\]"):
+        load_run(tmp_path)
+
+
+def test_load_run_rejects_old_per_core_layout(tmp_path):
     for n in (1, 2, 3):
         write_tensor(tmp_path / f"u{n}.dten", np.eye(2))
-    for i in (0, 1, 3):
+    for i in range(3):
         write_tensor(tmp_path / f"core_{i:04d}.dten", np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="gaps"):
+    with pytest.raises(ValueError, match=r"core_<n>\.dten layout are not read"):
         load_run(tmp_path)
-    write_tensor(tmp_path / "core_0002.dten", np.zeros((2, 2, 2)))
-    write_tensor(tmp_path / "core_01.dten", np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="duplicate"):
-        load_run(tmp_path)
-    (tmp_path / "core_01.dten").unlink()
-    write_tensor(tmp_path / "core_x.dten", np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match="index"):
-        load_run(tmp_path)
+
+
+def test_trace_csv_columns_follow_iteration_record(tmp_path):
+    # one row per record: the integer iteration, then every other field of
+    # IterationRecord in declaration order, as repr() of a float
+    values = [3, 1.5, 0.25, 1e-300, 0.0, -2.0, 1 / 3, 0.5, 7.0]
+    trace = SolverTrace()
+    trace.append(IterationRecord(*values))
+    factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    save_run(tmp_path, SolveResult(factors, np.ones((1, 1, 1, 1)), trace, "max_iter", 1), {})
+    assert (tmp_path / "trace.csv").read_text() == (
+        "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms\n"
+        "3,1.5,0.25,1e-300,0.0,-2.0,0.3333333333333333,0.5,7.0\n")
+    assert load_run(tmp_path)[3] == [dict(zip(TRACE_HEADER.split(","), map(float, values)))]
 
 
 def test_read_tensor_huge_header_does_not_allocate(tmp_path):

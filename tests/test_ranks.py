@@ -101,3 +101,14 @@ def test_bad_sample_sets():
         select_ranks(np.zeros((2, 3, 3)), RankPolicy())      # not order-4
     with pytest.raises(ValueError):
         select_ranks(np.zeros((2, 3, 3, 3)), RankPolicy(fixed_r3_to_n=False))  # all-zero
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_non_finite_samples_rejected_before_gram(value):
+    # a 1e300 entry squares past float64: ||X||^2 overflows although every
+    # entry is finite
+    x = np.ones((4, 3, 3, 2))
+    x[2, 0, 1, 1] = value
+    with pytest.raises(ValueError, match=r"at samples \[2\]"):
+        select_ranks(x)

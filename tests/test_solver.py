@@ -409,6 +409,22 @@ def test_solve_input_validation():
         SolverConfig(max_iter=0)
 
 
+@pytest.mark.parametrize("fault, bad", [("nan", [3]), ("inf", [3]),
+                                        ("scale", [0, 1, 2, 3, 4, 5])])
+def test_solve_rejects_non_finite_input_early(fault, bad):
+    # NaN, inf and data whose ||X||^2 overflows fail before init_state: no
+    # RuntimeWarning, one ValueError naming the offending samples
+    x, _ = generate(SynthSpec(m=6, shape=(6, 5, 4), ranks=(2, 2, 4), n_clusters=2))
+    if fault == "scale":
+        x = x * 1e200
+    else:
+        x[3, 1, 2, 0] = np.nan if fault == "nan" else np.inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"at samples \{bad}"):
+            solve(x, None, (2, 2, 4))
+
+
 def test_solver_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == \
         ["gamma", "beta", "zeta", "max_iter"]

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrtucker import fold, inner, mode_product, multi_mode_product, norms, unfold
+from mrtucker import fold, mode_product, multi_mode_product, unfold
 
 
 def layout_tensor(shape):
@@ -159,25 +159,6 @@ def test_multi_mode_product_transpose_projects():
     for mode, u in enumerate(mats):
         direct = mode_product(direct, u.T, mode)
     assert_allclose(core, direct, rtol=1e-13)
-
-
-def test_inner_examples():
-    t = layout_tensor((2, 2, 2))
-    assert inner(t, np.zeros_like(t)) == 0.0
-    assert_allclose(inner(t, t), np.linalg.norm(t) ** 2, rtol=1e-14)
-    assert inner(t, t) == 204.0  # 1^2 + ... + 8^2
-    with pytest.raises(ValueError):
-        inner(t, np.zeros((2, 2)))
-
-
-def test_norms_examples():
-    assert norms(np.zeros((3, 3))) == (0.0, 0.0, 0)
-    f, l1, l0 = norms(np.array([3.0, -4.0]))
-    assert (f, l1, l0) == (5.0, 7.0, 2)
-    f, l1, l0 = norms(layout_tensor((2, 2, 2)))
-    assert_allclose(f, np.sqrt(204.0), rtol=1e-15)
-    assert l1 == 36.0
-    assert l0 == 8
 
 
 def test_orthogonal_mode_product_preserves_norm():
