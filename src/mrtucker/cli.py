@@ -185,18 +185,13 @@ def cmd_synth(args) -> int:
         raise ValueError(f"{args.spec}: bad synth spec: {exc}") from None
     samples, truth = generate(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    io.save_decomposition(out / "truth", truth.factors, truth.cores)
     rows = []
     for i in range(spec.m):
         name = f"sample_{i:04d}.dten"
         io.write_tensor(out / name, samples[i])
         rows.append((name, str(int(truth.labels[i]))))
     io.write_manifest(out / "manifest.csv", rows)
-    truth_dir = out / "truth"
-    truth_dir.mkdir(exist_ok=True)
-    for n, u in enumerate(truth.factors, start=1):
-        io.write_tensor(truth_dir / f"u{n}.dten", u)
-    io.write_tensor(truth_dir / "cores.dten", truth.cores)
     print(f"wrote {out / 'manifest.csv'}: {spec.m} samples of shape {spec.shape}")
     return 0
 

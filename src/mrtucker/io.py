@@ -32,9 +32,7 @@ TRACE_HEADER = "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity
 
 
 def write_tensor(path, t: np.ndarray) -> None:
-    t = np.asarray(t, dtype=np.float64)
-    if t.ndim < 1:
-        t = t.reshape(1)
+    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, t.ndim))
@@ -111,13 +109,23 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
     return stack, label_list
 
 
+def save_decomposition(out_dir, factors, cores) -> Path:
+    """Write u1..u3.dten and cores.dten into out_dir, made if missing. A directory
+    holding old-layout core_<n>.dten files is refused, and they are left alone."""
+    out = Path(out_dir)
+    if stale := sorted(out.glob("core_*.dten")):
+        raise ValueError(f"{out}: holds {len(stale)} core_<n>.dten file(s) of the old run "
+                         f"layout, e.g. {stale[0].name}; remove them or write elsewhere")
+    out.mkdir(parents=True, exist_ok=True)
+    for n, u in enumerate(factors, start=1):
+        write_tensor(out / f"u{n}.dten", u)
+    write_tensor(out / "cores.dten", cores)
+    return out
+
+
 def save_run(out_dir, result, summary: dict) -> None:
     """Write factors, the core stack, the trace CSV and the JSON run summary."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    for n, u in enumerate(result.factors, start=1):
-        write_tensor(out / f"u{n}.dten", u)
-    write_tensor(out / "cores.dten", result.cores)
+    out = save_decomposition(out_dir, result.factors, result.cores)
     with open(out / "trace.csv", "w") as fh:
         fh.write(TRACE_HEADER + "\n")
         for rec in result.trace.records:

@@ -19,9 +19,6 @@ class ThinSVD:
     s: np.ndarray      # (R,), descending, nonnegative
     v: np.ndarray      # (R, R), orthogonal
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.u * self.s) @ self.v.T
-
 
 @dataclass
 class SymEig:

@@ -142,25 +142,37 @@ def _terms(samples, cores, recon, edges, config: SolverConfig):
     return l1 + fit + manifold, l1, fit, manifold
 
 
-def _factor_cross_product(samples, cores, factors, n: int) -> np.ndarray:
+def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np.ndarray:
     """B = sum_i Y^(i)_(n) G^(i)_(n)^T, Y^(i) = X^(i) times the other two factors
     transposed: the data is projected down to core size first (HOOI order)."""
     other = [k for k in range(3) if k != n]
     # non-finite data is reported once, below, instead of as matmul warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        y = multi_mode_product(samples, [factors[k] for k in other],
-                               modes=[k + 1 for k in other], transpose=True)
+        y = projected if projected is not None else multi_mode_product(
+            samples, [factors[k] for k in other], modes=[k + 1 for k in other], transpose=True)
         b = unfold(y, n + 1) @ unfold(cores, n + 1).T
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
     return b
 
 
-def update_factor(samples, cores, factors: FactorSet, n: int) -> np.ndarray:
-    """Closed-form Stiefel update for mode n: qf of the cross-product matrix."""
-    samples = np.asarray(samples, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    return qf(_factor_cross_product(samples, cores, factors, n))
+def update_factor(samples, cores, factors: FactorSet, n: int, projected=None) -> np.ndarray:
+    """Closed-form Stiefel update for mode n: qf of the cross-product matrix.
+    projected: the samples times the other two factors transposed, if already formed."""
+    return qf(_factor_cross_product(samples, cores, factors, n, projected))
+
+
+def _factor_phase(samples, mats: list, factor_block) -> np.ndarray:
+    """The factor blocks and D in two passes over the stack X. mats[n] = factor_block(n, Y)
+    for modes n = 0, 1, 2, Y being X times the other two factors transposed: None for mode
+    0 (the block forms it), Z_1 x_3 U_3^T for mode 1 and Z_12 = Z_1 x_2 U_2^T for mode 2,
+    with Z_1 = X x_1 U_1^T. Returns D = Z_12 x_3 U_3^T, one flat row per sample."""
+    mats[0] = factor_block(0, None)
+    z = mode_product(samples, mats[0].T, 1)
+    mats[1] = factor_block(1, mode_product(z, mats[2].T, 3))
+    z = mode_product(z, mats[1].T, 2)
+    mats[2] = factor_block(2, z)
+    return mode_product(z, mats[2].T, 3).reshape(samples.shape[0], -1)
 
 
 def core_threshold(graph_row_sum: float, config: SolverConfig) -> float:
@@ -212,11 +224,10 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     return FactorSet(*mats), np.ascontiguousarray(projected)
 
 
-def relative_error(prev_recon, curr_recon, samples) -> float:
-    """||X_hat_new - X_hat_old||_F / ||X||_F over the stacked tensors."""
-    denom = np.linalg.norm(np.asarray(samples, dtype=np.float64).ravel())
+def relative_error(prev_recon, curr_recon, norm_x: float) -> float:
+    """||X_hat_new - X_hat_old||_F / norm_x over the stacked tensors, norm_x = ||X||_F."""
     sq = _sq_dist(*(np.asarray(r, dtype=np.float64) for r in (curr_recon, prev_recon)))
-    return float(np.sqrt(sq) / denom) if denom else 0.0
+    return float(np.sqrt(sq) / norm_x) if norm_x else 0.0
 
 
 def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None = None,
@@ -249,9 +260,8 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     stop_reason = "max_iter"
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
-        for n in range(3):
-            mats[n] = update_factor(samples, cores, mats, n)
-        d_all = multi_mode_product(samples, mats, modes=(1, 2, 3), transpose=True).reshape(m, -1)
+        d_all = _factor_phase(samples, mats,
+                              lambda n, y: update_factor(samples, cores, mats, n, y))
         old_flat = flat.copy()
         for i in range(m):       # Gauss-Seidel: sequential by construction
             flat[i] = _core_prox(d_all[i], flat, neighbours[i], row_sums[i], config)
@@ -264,7 +274,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         bound = float(np.dot(decrease_coef, np.einsum("ip,ip->i", moved, moved)))
         trace.append(IterationRecord(
             iteration=it, objective=total, l1_term=l1, fit_term=fit, manifold_term=manifold,
-            relative_error=relative_error(recon, new_recon, samples),
+            relative_error=relative_error(recon, new_recon, norm_x),
             decrease_slack=(prev_total - total) - bound,
             sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
             wall_ms=(time.perf_counter() - t0) * 1e3))
@@ -298,16 +308,18 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     graph = graph or zero_graph(samples.shape[0])
 
     factor_res = np.zeros(3)
-    for n, u in enumerate(factors):
-        gn = unfold(cores, n + 1)
-        grad = u @ (gn @ gn.T) - _factor_cross_product(samples, cores, factors, n)
+
+    def factor_block(n, projected):     # records mode n's residual, keeps U_n
+        u, gn = factors[n], unfold(cores, n + 1)
+        grad = u @ (gn @ gn.T) - _factor_cross_product(samples, cores, factors, n, projected)
         utg = u.T @ grad
         factor_res[n] = float(np.linalg.norm(grad - u @ (0.5 * (utg + utg.T))))
+        return u
 
     m = samples.shape[0]
     flat = cores.reshape(m, -1)
     neighbours, _ = _adjacency(graph.w)
     row_sums = graph.row_sums()
-    d_all = multi_mode_product(samples, factors, modes=(1, 2, 3), transpose=True).reshape(m, -1)
+    d_all = _factor_phase(samples, list(factors), factor_block)
     fixed = [_core_prox(d_all[i], flat, neighbours[i], row_sums[i], config) for i in range(m)]
     return factor_res, np.linalg.norm(flat - np.array(fixed), axis=1)

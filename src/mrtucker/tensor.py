@@ -9,6 +9,8 @@ varying fastest (Kolda-Bader convention).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 # |x| <= L0_TOL counts as zero; soft-thresholding produces exact zeros, this
@@ -18,10 +20,7 @@ L0_TOL = 1e-12
 
 def as_tensor(t) -> np.ndarray:
     """Coerce to a float64 ndarray of order >= 1."""
-    arr = np.asarray(t, dtype=np.float64)
-    if arr.ndim < 1:
-        arr = arr.reshape(1)
-    return arr
+    return np.atleast_1d(np.asarray(t, dtype=np.float64))
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:
@@ -33,7 +32,8 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-n unfolding (0-based mode)."""
     t = as_tensor(t)
     _check_mode(t, mode)
-    return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], -1), order="F")
+    rest = math.prod(t.shape[:mode] + t.shape[mode + 1:])     # no -1: size-0 tensors work
+    return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], rest), order="F")
 
 
 def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
@@ -50,7 +50,9 @@ def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
 
 
 def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n product t x_n u; u has shape (J, I_n)."""
+    """Mode-n product t x_n u; u has shape (J, I_n). A matmul over t's C-order
+    view as (lead, I_n, trail), or one GEMM on (lead, I_n) for the last mode, so
+    a C-contiguous t is never copied; explicit extents keep size-0 tensors working."""
     t = as_tensor(t)
     _check_mode(t, mode)
     u = np.asarray(u, dtype=np.float64)
@@ -58,8 +60,12 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
         raise ValueError(
             f"matrix of shape {u.shape} cannot multiply mode {mode} of extent {t.shape[mode]}"
         )
-    out = np.tensordot(u, t, axes=(1, mode))
-    return np.moveaxis(out, 0, mode)
+    lead, trail = math.prod(t.shape[:mode]), math.prod(t.shape[mode + 1:])
+    if mode == t.ndim - 1:
+        out = t.reshape(lead, t.shape[mode]) @ u.T
+    else:
+        out = np.matmul(u, t.reshape(lead, t.shape[mode], trail))
+    return out.reshape(t.shape[:mode] + (u.shape[0],) + t.shape[mode + 1:])
 
 
 def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False) -> np.ndarray:

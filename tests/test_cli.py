@@ -81,6 +81,26 @@ def test_decompose_run_layout(synth_dir, tmp_path, capsys):
     assert header == "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms"
 
 
+def test_old_core_files_refused_by_decompose_and_synth(synth_dir, tmp_path, capsys):
+    # decompose --out and synth's truth/ refuse a directory that holds files of
+    # the old core_<n>.dten layout, exit 1 and leave every file there alone
+    run, data = tmp_path / "old_run", tmp_path / "old_data"
+    for d in (run, data / "truth"):
+        d.mkdir(parents=True)
+        for i in range(2):
+            write_tensor(d / f"core_{i}.dten", np.zeros((3, 3, 4)))
+    code, _, err = run_cli(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",
+                            "--max-iter", "2", "--out", str(run)], capsys)
+    assert code == 1 and "2 core_<n>.dten file" in err and "core_0.dten" in err
+    assert sorted(p.name for p in run.iterdir()) == ["core_0.dten", "core_1.dten"]
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 6, "shape": [4, 4, 2], "ranks": [2, 2, 2]}))
+    code, _, err = run_cli(["synth", "--spec", str(spec), "--out", str(data)], capsys)
+    assert code == 1 and "truth" in err and "core_0.dten" in err
+    assert sorted(p.name for p in data.iterdir()) == ["truth"]
+    assert sorted(p.name for p in (data / "truth").iterdir()) == ["core_0.dten", "core_1.dten"]
+
+
 def test_decompose_deterministic_byte_identical(synth_dir, tmp_path, capsys):
     runs = []
     for name in ("r1", "r2"):

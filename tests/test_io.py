@@ -219,6 +219,19 @@ def test_load_run_rejects_old_per_core_layout(tmp_path):
         load_run(tmp_path)
 
 
+def test_save_run_refuses_directory_with_old_core_files(tmp_path):
+    # a run directory of the old per-core layout is neither mixed with the
+    # new one nor cleaned up: save_run names a stale file and the count
+    for i in range(3):
+        write_tensor(tmp_path / f"core_{i:04d}.dten", np.zeros((2, 2, 2)))
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    result = SolveResult(factors, np.ones((1, 1, 1, 1)), SolverTrace(), "max_iter", 0)
+    with pytest.raises(ValueError, match=r"holds 3 core_<n>\.dten file.*core_0000\.dten"):
+        save_run(tmp_path, result, {})
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+
 def test_trace_csv_columns_follow_iteration_record(tmp_path):
     # one row per record: the integer iteration, then every other field of
     # IterationRecord in declaration order, as repr() of a float

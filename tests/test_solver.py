@@ -7,7 +7,7 @@ import warnings
 
 import numpy as np
 import pytest
-from numpy.testing import assert_allclose
+from numpy.testing import assert_allclose, assert_array_equal
 
 import mrtucker.solver as sv
 from mrtucker import (
@@ -182,6 +182,52 @@ def test_factor_cross_product_matches_phi_route():
         expected = sv.unfold(x, n + 1) @ sv.unfold(phi, n + 1).T
         got = sv._factor_cross_product(x, cores, factors, n)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+# ------------------------------------------------------ shared projections
+
+# R_n = I_n in mode 1 or 2 makes U_n square and orthogonal but not the
+# identity: a projected stack must never be told apart from X by its shape
+SWEEP_RANKS = [(5, 5, 6), (16, 5, 6), (5, 16, 6)]
+
+
+@pytest.mark.parametrize("ranks", SWEEP_RANKS)
+def test_solve_sweep_matches_replay_from_raw_stack(ranks):
+    # one solve sweep, replayed with every projection taken from X itself:
+    # update_factor without a projection per mode, then D; bitwise equal
+    x, _ = generate(SynthSpec(seed=3))
+    g = build_graph(x, k=4)
+    config = SolverConfig(max_iter=1)
+    factors, cores = init_state(x, ranks)
+    mats = list(factors)
+    for n in range(3):
+        mats[n] = update_factor(x, cores, mats, n)
+    d = sv.multi_mode_product(x, mats, modes=(1, 2, 3), transpose=True).reshape(len(x), -1)
+    flat = cores.reshape(len(x), -1)
+    neighbours, _ = _adjacency(g.w)
+    row_sums = g.row_sums()
+    for i in range(len(x)):
+        flat[i] = sv._core_prox(d[i], flat, neighbours[i], row_sums[i], config)
+    res = solve(x, g, ranks, config)
+    assert res.n_iter == 1
+    for got, want in zip(res.factors, mats):
+        assert_array_equal(got, want)
+    assert_array_equal(res.cores, cores)
+
+
+@pytest.mark.parametrize("ranks", SWEEP_RANKS)
+def test_update_factor_with_and_without_projection_agree(ranks):
+    # the projections the sweep passes in (Z_1 = X x_1 U_1^T, then Z_1 x_3 U_3^T
+    # for mode 2 and Z_1 x_2 U_2^T for mode 3) give the same factor, bitwise
+    x, _ = generate(SynthSpec(seed=4))
+    factors, cores = init_state(x, ranks)
+    u1, u2, u3 = factors
+    z1 = sv.mode_product(x, u1.T, 1)
+    projections = [sv.mode_product(sv.mode_product(x, u2.T, 2), u3.T, 3),
+                   sv.mode_product(z1, u3.T, 3), sv.mode_product(z1, u2.T, 2)]
+    for n, y in enumerate(projections):
+        assert_array_equal(update_factor(x, cores, factors, n, y),
+                           update_factor(x, cores, factors, n))
 
 
 # -------------------------------------------------------------- core update
@@ -548,8 +594,10 @@ def test_factor_residual_matches_data_space_form():
 def test_relative_error_cases():
     rng = np.random.default_rng(24)
     x = rng.standard_normal((2, 3, 3, 3))
-    assert relative_error(x, x, x) == 0.0
-    assert_allclose(relative_error(np.zeros_like(x), x, x), 1.0, rtol=1e-12)
+    norm_x = np.linalg.norm(x.ravel())      # the caller's ||X||_F
+    assert relative_error(x, x, norm_x) == 0.0
+    assert_allclose(relative_error(np.zeros_like(x), x, norm_x), 1.0, rtol=1e-12)
     a, b = rng.standard_normal((2, 2, 3, 3, 3))
-    expected = np.linalg.norm((b - a).ravel()) / np.linalg.norm(x.ravel())
-    assert_allclose(relative_error(a, b, x), expected, rtol=1e-12)
+    expected = np.linalg.norm((b - a).ravel()) / norm_x
+    assert_allclose(relative_error(a, b, norm_x), expected, rtol=1e-12)
+    assert relative_error(a, b, 0.0) == 0.0

@@ -138,6 +138,18 @@ def test_mode_product_shape_mismatch():
         mode_product(np.zeros((3, 4, 2)), np.zeros((5, 4)), 0)
 
 
+def test_mode_product_zero_size_extents():
+    # the matmul views take explicit extents: reshape(lead, I_n, -1) cannot
+    # infer -1 on a size-0 array, where the tensordot route returned (0, 2, 4)
+    out = mode_product(np.zeros((0, 3, 4)), np.ones((2, 3)), 1)
+    assert out.shape == (0, 2, 4)
+    assert_array_equal(mode_product(np.zeros((2, 0, 4)), np.ones((3, 0)), 1), np.zeros((2, 3, 4)))
+    assert mode_product(np.zeros((2, 3, 0)), np.ones((5, 0)), 2).shape == (2, 3, 5)
+    assert mode_product(np.zeros((0, 3)), np.ones((4, 3)), 1).shape == (0, 4)
+    assert mode_product(np.ones((3, 2)), np.ones((0, 3)), 0).shape == (0, 2)
+    assert unfold(np.zeros((2, 0, 3)), 1).shape == (0, 6)
+
+
 def test_distinct_mode_products_commute():
     rng = np.random.default_rng(5)
     for _ in range(5):
