@@ -12,6 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tensor import _stack_norm
+
 STRATEGIES = ("binary", "heat_kernel", "cosine")
 
 # best-performing heat-kernel bandwidth of the {2, 1000, 5000} trials
@@ -54,9 +56,11 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     """Build the weight graph over samples (sample axis first).
 
     strategy is one of 'binary', 'heat_kernel', 'cosine'; delta is the
-    heat-kernel bandwidth exp(-d^2/delta).
+    heat-kernel bandwidth exp(-d^2/delta). Non-finite or overflowing samples are
+    rejected, naming them.
     """
     samples = np.asarray(samples, dtype=np.float64)
+    _stack_norm(samples)
     m = samples.shape[0]
     if m < 2:
         raise ValueError("need at least two samples to build a graph")

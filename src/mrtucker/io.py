@@ -33,6 +33,8 @@ TRACE_HEADER = "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity
 
 def write_tensor(path, t: np.ndarray) -> None:
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+    if t.size == 0:             # read_tensor rejects zero extents
+        raise ValueError(f"{path}: cannot write a tensor with a zero extent {t.shape}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, t.ndim))

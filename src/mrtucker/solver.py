@@ -16,6 +16,7 @@ s_i = sum_{j != i} w_ij.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -115,7 +116,7 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
     cores = np.asarray(cores, dtype=np.float64)
     _check_shapes(samples, cores, factors)
     edges = _adjacency((graph or zero_graph(samples.shape[0])).w)[1]
-    return _terms(samples, cores, reconstruct(cores, factors), edges, config)
+    return _terms(cores, _fit(samples, cores, factors), edges, config)
 
 
 def _chunks(rows: int, width: int):
@@ -124,17 +125,34 @@ def _chunks(rows: int, width: int):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _sq_dist(a: np.ndarray, b: np.ndarray) -> float:
-    """||a - b||_F^2 of two equal stacks, never holding a stack-sized difference."""
-    return sum(float(np.vdot(d := a[s] - b[s], d)) for s in _chunks(len(a), a[0].size))
+def _sq_dist(cores, mats, b) -> float:
+    """sum_s ||cores[s] x_1 M_1 x_2 M_2 x_3 M_3 - b(s)||_F^2 over ~1 MB slices s of the
+    stack: the reconstruction is formed one slice at a time, never stack-sized."""
+    total = 0.0
+    for s in _chunks(len(cores), math.prod(u.shape[0] for u in mats)):
+        d = reconstruct(cores[s], mats)
+        d -= b(s)
+        total += float(np.vdot(d, d))
+    return total
 
 
-def _terms(samples, cores, recon, edges, config: SolverConfig):
-    """objective() from the reconstruction and the i < j edge arrays (i, j, w).
+def _fit(samples, cores, factors) -> float:
+    """(1/2) ||X - G x_1 U_1 x_2 U_2 x_3 U_3||_F^2, without a stack-sized array."""
+    return 0.5 * _sq_dist(cores, factors, samples.__getitem__)
+
+
+def _fit_from_d(sq_norm_x: float, d_all, flat) -> float:
+    """The fit term as (1/2)(||X||^2 - ||D||^2) + (1/2)||D - G||^2, D = X x_n U_n^T:
+    exact for orthonormal factors, but the first difference cancels to ~8 eps ||X||^2."""
+    r = d_all - flat
+    return 0.5 * (sq_norm_x - float(np.vdot(d_all, d_all))) + 0.5 * float(np.vdot(r, r))
+
+
+def _terms(cores, fit: float, edges, config: SolverConfig):
+    """objective() from the fit term and the i < j edge arrays (i, j, w).
     The manifold term is summed over edges, ~1 MB at a time: the Laplacian form
     s.||G||^2 - <G, WG> cancels to ~1e-10 relative, too coarse for descent checks."""
     l1 = float(np.abs(cores).sum()) / config.gamma
-    fit = 0.5 * _sq_dist(samples, recon)
     flat = cores.reshape(cores.shape[0], -1)
     ei, ej, ew = edges
     manifold = sum(float(ew[s] @ np.einsum("ep,ep->e", d := flat[ei[s]] - flat[ej[s]], d))
@@ -224,10 +242,18 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     return FactorSet(*mats), np.ascontiguousarray(projected)
 
 
-def relative_error(prev_recon, curr_recon, norm_x: float) -> float:
-    """||X_hat_new - X_hat_old||_F / norm_x over the stacked tensors, norm_x = ||X||_F."""
-    sq = _sq_dist(*(np.asarray(r, dtype=np.float64) for r in (curr_recon, prev_recon)))
-    return float(np.sqrt(sq) / norm_x) if norm_x else 0.0
+def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> float:
+    """||X_hat - X_hat_prev||_F / norm_x of the reconstructions of two (cores, factors)
+    states, norm_x = ||X||_F. Exact in each mode's joint span: [U_n, U_n_prev] = Q_n R_n
+    and the orthonormal Q_n leave the norm, so R_n's two column blocks replace the
+    factors (rows min(2 R_n, I_n)); a mode with 2 R_n >= I_n keeps its factors."""
+    if not norm_x:
+        return 0.0
+    new, old = zip(*[np.hsplit(np.linalg.qr(np.hstack([u, v]), mode="r"), [u.shape[1]])
+                     if 2 * u.shape[1] < u.shape[0] else (u, v)
+                     for u, v in zip(factors, prev_factors)])
+    sq = _sq_dist(cores, new, lambda s: reconstruct(prev_cores[s], old))
+    return float(np.sqrt(sq) / norm_x)
 
 
 def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None = None,
@@ -251,34 +277,37 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     row_sums = graph.row_sums()
     decrease_coef = 0.5 + row_sums / config.beta
 
-    recon = reconstruct(cores, mats)
-    prev_total, *_ = _terms(samples, cores, recon, edges, config)
+    prev_total, *_ = _terms(cores, _fit(samples, cores, mats), edges, config)
     if not np.isfinite(prev_total):
         raise FloatingPointError("non-finite initial objective")
+    # the fit from D rounds to ~8 eps ||X||^2: used only where that is below
+    # 1e-15 of the objective's scale, not on noiseless data (L ~ 0)
+    d_form = 8 * np.finfo(float).eps * norm_x ** 2 <= 1e-15 * max(1.0, prev_total)
 
     trace = SolverTrace()
     stop_reason = "max_iter"
     for it in range(1, config.max_iter + 1):
         t0 = time.perf_counter()
+        old_mats = list(mats)
         d_all = _factor_phase(samples, mats,
                               lambda n, y: update_factor(samples, cores, mats, n, y))
         old_flat = flat.copy()
         for i in range(m):       # Gauss-Seidel: sequential by construction
             flat[i] = _core_prox(d_all[i], flat, neighbours[i], row_sums[i], config)
 
-        new_recon = reconstruct(cores, mats)
-        total, l1, fit, manifold = _terms(samples, cores, new_recon, edges, config)
+        fit = _fit_from_d(norm_x ** 2, d_all, flat) if d_form else _fit(samples, cores, mats)
+        total, l1, fit, manifold = _terms(cores, fit, edges, config)
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
         moved = flat - old_flat
         bound = float(np.dot(decrease_coef, np.einsum("ip,ip->i", moved, moved)))
         trace.append(IterationRecord(
             iteration=it, objective=total, l1_term=l1, fit_term=fit, manifold_term=manifold,
-            relative_error=relative_error(recon, new_recon, norm_x),
+            relative_error=relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats,
+                                          norm_x),
             decrease_slack=(prev_total - total) - bound,
             sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
             wall_ms=(time.perf_counter() - t0) * 1e3))
-        recon = new_recon
         converged = abs(total - prev_total) / max(norm_x, np.finfo(float).tiny) < config.zeta
         prev_total = total
         if converged:

@@ -8,7 +8,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .linalg import qf, sym_eig
-from .solver import FactorSet, _check_shapes, reconstruct
+from .solver import FactorSet, _check_shapes, _fit, reconstruct
 from .tensor import L0_TOL, multi_mode_product, unfold
 
 
@@ -192,9 +192,8 @@ def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4,
     samples = np.asarray(samples, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
     _check_shapes(samples, cores, factors)
-    recon = reconstruct(cores, factors)
     denom = max(np.linalg.norm(samples.ravel()), np.finfo(float).tiny)
-    re = float(np.linalg.norm((samples - recon).ravel()) / denom)
+    re = float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom)
     accuracy = None
     if labels is not None:
         accuracy = nearest_centroid(cores, labels, split_seed=split_seed)

@@ -169,6 +169,8 @@ def test_non_finite_samples_exit_1(synth_dir, tmp_path, capsys):
     for bad in (nan, inf, good * 1e200):
         write_tensor(synth_dir / "sample_0005.dten", bad)
         for cmd in (["ranks", str(synth_dir / "manifest.csv")],
+                    ["graph", str(synth_dir / "manifest.csv"), "--k", "3",
+                     "--out", str(tmp_path / "edges.csv")],
                     ["decompose", str(synth_dir / "manifest.csv"), "--out", str(tmp_path / "r")]):
             code, _, err = run_cli(cmd, capsys)
             assert code == 1, cmd

@@ -5,6 +5,9 @@ import csv
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mrtucker import WeightGraph, build_graph, zero_graph
@@ -102,6 +105,41 @@ def test_invariants_all_strategies():
                 assert set(np.unique(g.w)) <= {0.0, 1.0}
                 nnz = np.count_nonzero(g.w, axis=1)
                 assert np.all((k <= nnz) & (nnz <= 9))
+
+
+@given(st.data(), st.sampled_from(["binary", "heat_kernel", "cosine"]))
+def test_graph_invariants_property(data, strategy):
+    # any stack, k and bandwidth: w is bitwise symmetric, zero on the
+    # diagonal and nonnegative, and every sample keeps at least k neighbours
+    # before weighting (the binary graph's pattern holds every strategy's)
+    m = data.draw(st.integers(2, 9))
+    shape = (m,) + tuple(data.draw(st.lists(st.integers(1, 3), min_size=3, max_size=3)))
+    samples = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-8.0, 8.0)))
+    k = data.draw(st.integers(1, m - 1))
+    delta = data.draw(st.floats(1e-3, 1e4))
+    if strategy == "cosine" and np.any(np.linalg.norm(samples.reshape(m, -1), axis=1) == 0.0):
+        with pytest.raises(ValueError, match="zero-norm"):
+            build_graph(samples, k, strategy)
+        return
+    w = build_graph(samples, k, strategy, delta).w
+    assert_array_equal(w, w.T)
+    assert np.all(np.diag(w) == 0.0) and np.all(w >= 0.0)
+    pattern = build_graph(samples, k).w != 0.0
+    assert np.all(pattern.sum(axis=1) >= k)
+    assert not np.any((w != 0.0) & ~pattern)
+
+
+@pytest.mark.parametrize("fault", ["nan", "inf", "overflow"])
+def test_build_graph_rejects_non_finite_samples(fault):
+    # one bad entry in sample 3 of 10: an error naming it, not a silent graph
+    samples = np.random.default_rng(3).standard_normal((10, 2, 2, 2))
+    if fault == "overflow":
+        samples *= 1e200
+    else:
+        samples[3, 1, 0, 1] = np.nan if fault == "nan" else np.inf
+    with pytest.raises(ValueError, match=r"not finite.*samples \[" +
+                       ("0, 1, 2, 3, 4, 5, 6, 7, 8, 9" if fault == "overflow" else "3") + r"\]"):
+        build_graph(samples, k=2)
 
 
 def test_bad_arguments():

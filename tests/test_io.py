@@ -6,6 +6,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_array_equal
 
 from mrtucker import (
@@ -28,6 +30,7 @@ from mrtucker.io import (
     write_manifest,
     write_tensor,
 )
+from test_tensor_properties import arrays
 
 
 def test_tensor_roundtrip_orders(tmp_path):
@@ -39,6 +42,28 @@ def test_tensor_roundtrip_orders(tmp_path):
         back = read_tensor(path)
         assert back.shape == t.shape
         assert_array_equal(back, t)  # float64 payload survives bit-exactly
+
+
+@given(st.data())
+def test_tensor_write_read_roundtrip_is_bitwise(tmp_path_factory, data):
+    # orders 1-4, extents >= 1, contiguous, transposed and strided inputs, and
+    # every float64 (NaN, inf, -0.0, subnormals): the bits come back unchanged
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)))
+    t = data.draw(arrays(shape, elements=st.floats(width=64)))
+    path = tmp_path_factory.mktemp("dten") / "t.dten"
+    write_tensor(path, t)
+    back = read_tensor(path)
+    assert back.shape == t.shape
+    assert_array_equal(back.view(np.uint64), np.ascontiguousarray(t).view(np.uint64))
+
+
+def test_write_tensor_rejects_zero_extents(tmp_path):
+    # read_tensor rejects a zero extent, so write_tensor writes none
+    for shape in [(0,), (0, 3), (2, 0, 4)]:
+        path = tmp_path / "t.dten"
+        with pytest.raises(ValueError, match="zero extent"):
+            write_tensor(path, np.zeros(shape))
+        assert not path.exists()
 
 
 def test_tensor_header_layout(tmp_path):

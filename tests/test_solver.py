@@ -3,10 +3,14 @@ updates (each checked against an independent brute-force oracle), the
 stopping rule, stationarity residuals, and the per-iteration guarantees."""
 
 import dataclasses
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mrtucker.solver as sv
@@ -318,6 +322,38 @@ def test_core_target_matches_dense_row_product():
                 assert len(neighbours[i][0]) == 0
 
 
+@st.composite
+def prox_cases(draw):
+    """(d_i, flat cores, neighbour indices, weights, config) for core 0 of up to
+    6 cores of 1-8 entries; the neighbour set may be empty (an isolated sample)."""
+    m, p = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    entries = st.floats(-10.0, 10.0)
+    d = draw(hnp.arrays(np.float64, p, elements=entries))
+    flat = draw(hnp.arrays(np.float64, (m, p), elements=entries))
+    idx = np.array(draw(st.lists(st.integers(1, m - 1), unique=True, max_size=m - 1))
+                   if m > 1 else [], dtype=np.intp)
+    wts = np.array([draw(st.floats(1e-3, 1.0)) for _ in idx])
+    config = SolverConfig(gamma=draw(st.floats(1e-2, 1e4)), beta=draw(st.floats(1e-6, 10.0)))
+    return d, flat, idx, wts, config
+
+
+@given(prox_cases())
+@example((np.array([2.5, -1e-5, 0.0]), np.ones((3, 3)), np.array([], dtype=np.intp),
+          np.array([]), SolverConfig()))
+def test_core_prox_satisfies_subgradient_optimality(case):
+    # 0 is in the subdifferential of (1/gamma)|g|_1 + (1/2)||g - d||^2
+    # + (1/beta) sum_j w_j ||g - g_j||^2 at g = _core_prox(...), term by term
+    d, flat, idx, wts, config = case
+    s_i = float(wts.sum())
+    g = sv._core_prox(d, flat, (idx, wts), s_i, config)
+    grad = g - d + sum(2.0 * w * (g - flat[j]) for j, w in zip(idx, wts)) / config.beta
+    scale = 1.0 + np.abs(d).max() + np.abs(flat).max()
+    tol = 64 * np.finfo(float).eps * scale * (1.0 + 2.0 * s_i / config.beta)
+    nz = g != 0.0
+    assert np.all(np.abs(grad[nz] + np.sign(g[nz]) / config.gamma) <= tol)
+    assert np.all(np.abs(grad[~nz]) <= 1.0 / config.gamma + tol)
+
+
 def test_core_residual_is_distance_to_update_core():
     # stationarity_residual's core residual and update_core share one prox:
     # at a non-stationary point, residual i == ||G_i - update_core(..., i)||
@@ -592,12 +628,92 @@ def test_factor_residual_matches_data_space_form():
 # ----------------------------------------------------------- relative error
 
 def test_relative_error_cases():
+    # joint-span RE against explicit reconstructions: U_n kept (U_new = U_old),
+    # modes with 2 R_n >= I_n and with R_n = I_n (factors used as they are),
+    # modes reduced by the QR of [U_new, U_old], and norm_x = 0
     rng = np.random.default_rng(24)
-    x = rng.standard_normal((2, 3, 3, 3))
-    norm_x = np.linalg.norm(x.ravel())      # the caller's ||X||_F
-    assert relative_error(x, x, norm_x) == 0.0
-    assert_allclose(relative_error(np.zeros_like(x), x, norm_x), 1.0, rtol=1e-12)
-    a, b = rng.standard_normal((2, 2, 3, 3, 3))
-    expected = np.linalg.norm((b - a).ravel()) / norm_x
-    assert_allclose(relative_error(a, b, norm_x), expected, rtol=1e-12)
-    assert relative_error(a, b, 0.0) == 0.0
+    for shape, ranks in [((9, 8, 7), (2, 3, 3)), ((9, 5, 4), (3, 3, 4)), ((3, 4, 2), (3, 4, 2))]:
+        f0, f1 = random_factors(rng, shape, ranks), random_factors(rng, shape, ranks)
+        c0, c1 = rng.standard_normal((2, 5) + ranks)
+        norm_x = 2.0 * np.linalg.norm(reconstruct(c0, f0))
+        for prev in (f0, FactorSet(f1.u1, f0.u2, f1.u3), f1):
+            expected = np.linalg.norm(reconstruct(c1, f1) - reconstruct(c0, prev)) / norm_x
+            assert_allclose(relative_error(c0, prev, c1, f1, norm_x), expected, rtol=1e-12)
+        assert relative_error(c1, f1, c1, f1, norm_x) <= 1e-15
+        assert relative_error(c0, f0, c1, f1, 0.0) == 0.0
+
+
+def test_relative_error_forms_nothing_of_stack_size():
+    # the joint span of U_new and U_old holds the difference: with 2 R_n < I_n
+    # in every mode no array of the stacked reconstructions' size is formed
+    rng = np.random.default_rng(25)
+    shape, ranks = (40, 40, 20), (3, 3, 2)
+    f0, f1 = random_factors(rng, shape, ranks), random_factors(rng, shape, ranks)
+    c0, c1 = rng.standard_normal((2, 60) + ranks)
+    stack_bytes = 60 * 40 * 40 * 20 * 8
+    tracemalloc.start()
+    try:
+        relative_error(c0, f0, c1, f1, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes / 10
+
+
+# ---------------------------------------------------------------- fit term
+
+def test_fit_from_d_matches_chunked_exact_fit():
+    # (1/2)(||X||^2 - ||D||^2) + (1/2)||D - G||^2 against the reconstruction,
+    # within its rounding bound 8 eps ||X||^2, on data far from and at a fit
+    rng = np.random.default_rng(26)
+    for noise in (0.5, 0.0):
+        x, cores, factors = make_instance(rng, m=9, shape=(9, 8, 5), ranks=(3, 2, 4),
+                                          noise=noise)
+        moved = cores + 0.1 * rng.standard_normal(cores.shape)
+        d = sv.multi_mode_product(x, factors, modes=(1, 2, 3), transpose=True)
+        sq_norm_x = float(np.vdot(x, x))
+        exact = sv._fit(x, moved, factors)
+        assert_allclose(exact, 0.5 * np.linalg.norm(x - reconstruct(moved, factors)) ** 2,
+                        rtol=1e-12)
+        from_d = sv._fit_from_d(sq_norm_x, d.reshape(9, -1), moved.reshape(9, -1))
+        assert abs(from_d - exact) <= 8 * np.finfo(float).eps * sq_norm_x
+
+
+def test_solve_takes_the_fit_form_its_rounding_allows():
+    # default data: L_0 dwarfs 8 eps ||X||^2 and the trace fit is the D form,
+    # equal to the exact fit within that bound; noiseless data with W = 0 and
+    # gamma = 1e12 (criterion 8) has L ~ 0, so every record's fit is exact
+    eps = np.finfo(float).eps
+    x, _ = generate(SynthSpec(seed=3))
+    g = build_graph(x, k=4)
+    config = SolverConfig(max_iter=3)
+    res = solve(x, g, (5, 5, 6), config)
+    sq_norm_x = float(np.vdot(x, x))
+    exact = objective(x, res.cores, res.factors, g, config)
+    assert 8 * eps * sq_norm_x <= 1e-15 * res.trace.records[0].objective
+    assert abs(res.trace.records[-1].fit_term - exact[2]) <= 8 * eps * sq_norm_x
+    assert_allclose(res.trace.records[-1].objective, exact[0], rtol=1e-12)
+
+    x, _ = generate(SynthSpec(noise=0.0))
+    config = SolverConfig(gamma=1e12, zeta=1e-12, max_iter=200)
+    factors, cores = init_state(x, (5, 5, 6))
+    l0 = objective(x, cores, factors, None, config)[0]
+    assert 8 * eps * float(np.vdot(x, x)) > 1e-15 * max(1.0, l0)
+    for max_iter in (1, 2):
+        res = solve(x, None, (5, 5, 6), dataclasses.replace(config, max_iter=max_iter))
+        assert res.trace.records[-1].fit_term == \
+            objective(x, res.cores, res.factors, None, config)[2]
+
+
+def test_solve_peak_memory_below_two_stacks():
+    # no stack-sized reconstruction in the sweep: a 3-sweep solve on M=40
+    # samples of 24x24x8 traces less than twice the sample stack
+    x, _ = generate(SynthSpec(m=40, shape=(24, 24, 8), ranks=(5, 5, 4), seed=0))
+    g = build_graph(x, k=4)
+    tracemalloc.start()
+    try:
+        solve(x, g, (5, 5, 4), SolverConfig(zeta=1e-15, max_iter=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * x.nbytes, peak / x.nbytes

@@ -3,7 +3,7 @@ J below and above I_n, size-0 extents, and non-contiguous inputs, against the
 unfolding route and a brute-force sum."""
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
@@ -13,23 +13,22 @@ from test_tensor import mode_product_bruteforce
 
 ENTRIES = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 TOL = {"rtol": 1e-12, "atol": 1e-11}
-PROPERTY = settings(deadline=None, max_examples=150, database=None)
 
 
 @st.composite
-def arrays(draw, shape):
+def arrays(draw, shape, elements=ENTRIES):
     """A float64 array of the given shape: contiguous, a transposed view of
     another array, or a strided slice of a larger one."""
     layout = draw(st.sampled_from(["contiguous", "transposed", "strided"]))
     if layout == "transposed":
         perm = draw(st.permutations(range(len(shape))))
         base = draw(hnp.arrays(np.float64, tuple(shape[p] for p in np.argsort(perm)),
-                               elements=ENTRIES))
+                               elements=elements))
         return base.transpose(perm)
     if layout == "strided":
-        base = draw(hnp.arrays(np.float64, tuple(2 * s for s in shape), elements=ENTRIES))
+        base = draw(hnp.arrays(np.float64, tuple(2 * s for s in shape), elements=elements))
         return base[(slice(None, None, 2),) * len(shape)]
-    return draw(hnp.arrays(np.float64, shape, elements=ENTRIES))
+    return draw(hnp.arrays(np.float64, shape, elements=elements))
 
 
 @st.composite
@@ -42,7 +41,6 @@ def products(draw):
     return draw(arrays(shape)), draw(arrays((j, shape[mode]))), mode
 
 
-@PROPERTY
 @given(products())
 def test_mode_product_matches_unfold_route_and_bruteforce(case):
     t, u, mode = case
@@ -53,7 +51,6 @@ def test_mode_product_matches_unfold_route_and_bruteforce(case):
     assert_allclose(out, mode_product_bruteforce(t, u, mode), **TOL)
 
 
-@PROPERTY
 @given(st.data())
 def test_products_on_distinct_modes_commute(data):
     shape = tuple(data.draw(st.lists(st.integers(0, 4), min_size=2, max_size=4)))
@@ -66,7 +63,6 @@ def test_products_on_distinct_modes_commute(data):
                     mode_product(mode_product(t, ub, b), ua, a), **TOL)
 
 
-@PROPERTY
 @given(st.data())
 def test_multi_mode_product_transpose_applies_each_in_turn(data):
     shape = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
