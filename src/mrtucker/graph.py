@@ -41,16 +41,6 @@ def zero_graph(m: int) -> WeightGraph:
     return WeightGraph(w=np.zeros((m, m)), k=0, strategy="none")
 
 
-def _pairwise_sq_distances(flat: np.ndarray) -> np.ndarray:
-    sq = np.einsum("ij,ij->i", flat, flat)
-    gram = flat @ flat.T
-    d2 = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.fill_diagonal(d2, 0.0)
-    d2 = np.maximum(d2, 0.0)
-    # mirror the upper triangle so distances are exactly symmetric
-    return np.triu(d2, 1) + np.triu(d2, 1).T
-
-
 def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
                 delta: float = DEFAULT_DELTA) -> WeightGraph:
     """Build the weight graph over samples (sample axis first).
@@ -72,31 +62,38 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
         raise ValueError("heat kernel bandwidth delta must be positive")
 
     flat = samples.reshape(m, -1)
-    d2 = _pairwise_sq_distances(flat)
+    sq = np.einsum("ij,ij->i", flat, flat)
+    d2 = flat @ flat.T
+    d2 *= -2.0
+    d2 += np.add.outer(sq, sq)           # the bits of (sq_i + sq_j) - 2 <x_i, x_j>
+    np.maximum(d2, 0.0, out=d2)
+    # mirror the upper triangle so distances are exactly symmetric
+    np.copyto(d2, d2.T, where=np.tri(m, k=-1, dtype=bool))
 
     # k nearest neighbors of each sample, self excluded, ties by lower index
-    ranking = d2.copy()
-    np.fill_diagonal(ranking, np.inf)
-    order = np.argsort(ranking, axis=1, kind="stable")
-    mask = np.zeros((m, m), dtype=bool)
-    rows = np.repeat(np.arange(m), k)
-    mask[rows, order[:, :k].ravel()] = True
-    connected = mask | mask.T
+    np.fill_diagonal(d2, np.inf)
+    connected = np.zeros((m, m), dtype=bool)
+    connected[np.arange(m)[:, None], np.argsort(d2, axis=1, kind="stable")[:, :k]] = True
+    np.fill_diagonal(d2, 0.0)
+    connected |= connected.T
 
     if strategy == "binary":
-        sim = np.ones((m, m))
+        w = connected.astype(np.float64)
     elif strategy == "heat_kernel":
-        sim = np.exp(-d2 / delta)
+        w = np.exp(np.divide(d2, -delta, out=d2), out=d2)     # exp(-d2 / delta)
     else:
+        # exact power-of-two row scaling: tiny entries' squares do not underflow
+        flat = np.ldexp(flat, -np.frexp(np.abs(flat).max(axis=1))[1][:, None])
         norms = np.linalg.norm(flat, axis=1)
-        if np.any(norms == 0.0):
+        if not norms.all():
             raise ValueError("cosine weights undefined for a zero-norm sample")
-        gram = flat @ flat.T
-        sim = gram / np.outer(norms, norms)
-        sim = np.triu(sim, 1) + np.triu(sim, 1).T       # exact symmetry
-        sim = np.clip(sim, 0.0, 1.0)                    # drop negative similarities
-
-    w = np.where(connected, sim, 0.0)
+        w = flat @ flat.T
+        w /= np.outer(norms, norms)
+        # exact symmetry; the sum with 0.0 also turns a -0.0 Gram entry into 0.0
+        w = np.triu(w, 1)
+        w += w.T
+        np.clip(w, 0.0, 1.0, out=w)                         # drop negative similarities
+    w[~connected] = 0.0
     np.fill_diagonal(w, 0.0)
     return WeightGraph(w=w, k=k, strategy=strategy,
                        delta=delta if strategy == "heat_kernel" else None)

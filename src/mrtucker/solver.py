@@ -100,6 +100,9 @@ def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
 
 
 def _check_shapes(samples, cores, factors):
+    """samples and cores as float64 arrays, or a ValueError when the shapes disagree."""
+    samples = np.asarray(samples, dtype=np.float64)
+    cores = np.asarray(cores, dtype=np.float64)
     if samples.shape[0] != cores.shape[0]:
         raise ValueError(f"sample and core counts differ: {samples.shape[0]} samples, "
                          f"{cores.shape[0]} cores")
@@ -107,14 +110,13 @@ def _check_shapes(samples, cores, factors):
         expected = (samples.shape[n + 1], cores.shape[n + 1])
         if u.shape != expected:
             raise ValueError(f"factor {n} has shape {u.shape}, expected {expected}")
+    return samples, cores
 
 
 def objective(samples, cores, factors, graph: WeightGraph | None,
               config: SolverConfig) -> tuple[float, float, float, float]:
     """(total, l1_term, fit_term, manifold_term) of the objective."""
-    samples = np.asarray(samples, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    _check_shapes(samples, cores, factors)
+    samples, cores = _check_shapes(samples, cores, factors)
     edges = _adjacency((graph or zero_graph(samples.shape[0])).w)[1]
     return _terms(cores, _fit(samples, cores, factors), edges, config)
 
@@ -211,9 +213,7 @@ def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
                 config: SolverConfig, i: int) -> np.ndarray:
     """Closed-form Gauss-Seidel update of core i (cores j != i held at their
     current values)."""
-    samples = np.asarray(samples, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    _check_shapes(samples, cores, factors)
+    samples, cores = _check_shapes(samples, cores, factors)
     d_i = multi_mode_product(samples[i], factors, transpose=True)
     w_row = (graph or zero_graph(samples.shape[0])).w[i]
     idx = np.flatnonzero(w_row)
@@ -331,9 +331,7 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     graph component's cores together can be large while every core residual
     is small. Both vanish at stationary points.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    _check_shapes(samples, cores, factors)
+    samples, cores = _check_shapes(samples, cores, factors)
     graph = graph or zero_graph(samples.shape[0])
 
     factor_res = np.zeros(3)

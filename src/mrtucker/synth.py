@@ -189,9 +189,7 @@ class EvalReport:
 
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4,
              wall_ms=None, split_seed: int = 0) -> EvalReport:
-    samples = np.asarray(samples, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    _check_shapes(samples, cores, factors)
+    samples, cores = _check_shapes(samples, cores, factors)
     denom = max(np.linalg.norm(samples.ravel()), np.finfo(float).tiny)
     re = float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom)
     accuracy = None

@@ -2,6 +2,7 @@
 strategies, tie handling, and the CSV edge-list export."""
 
 import csv
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,6 +93,19 @@ def test_cosine_zero_norm_rejected():
         build_graph(scalar_samples([0.0, 1.0]), k=1, strategy="cosine")
 
 
+def test_cosine_tiny_sample_not_zero_norm():
+    # sample 0 holds only 1e-170, whose square underflows: it still has a
+    # direction, (1, 0), and gets cosine weights like any other sample
+    x = np.zeros((3, 1, 1, 2))
+    x[0, 0, 0, 0] = 1e-170
+    x[1, 0, 0] = [1.0, 1.0]
+    x[2, 0, 0] = [0.0, 3.0]
+    g = build_graph(x, k=2, strategy="cosine")
+    assert_allclose(g.w, [[0.0, np.sqrt(0.5), 0.0],
+                          [np.sqrt(0.5), 0.0, np.sqrt(0.5)],
+                          [0.0, np.sqrt(0.5), 0.0]], rtol=1e-15, atol=0)
+
+
 def test_invariants_all_strategies():
     rng = np.random.default_rng(2)
     samples = rng.standard_normal((10, 3, 3, 2)) + 0.5
@@ -117,7 +131,8 @@ def test_graph_invariants_property(data, strategy):
     samples = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(-8.0, 8.0)))
     k = data.draw(st.integers(1, m - 1))
     delta = data.draw(st.floats(1e-3, 1e4))
-    if strategy == "cosine" and np.any(np.linalg.norm(samples.reshape(m, -1), axis=1) == 0.0):
+    if strategy == "cosine" and not samples.reshape(m, -1).any(axis=1).all():
+        # a sample with no nonzero entry has no direction
         with pytest.raises(ValueError, match="zero-norm"):
             build_graph(samples, k, strategy)
         return
@@ -127,6 +142,22 @@ def test_graph_invariants_property(data, strategy):
     pattern = build_graph(samples, k).w != 0.0
     assert np.all(pattern.sum(axis=1) >= k)
     assert not np.any((w != 0.0) & ~pattern)
+
+
+@pytest.mark.parametrize("strategy, bound", [("binary", 4.5), ("heat_kernel", 4.5),
+                                             ("cosine", 6.0)])
+def test_build_graph_peak_memory(strategy, bound):
+    # the traced peak, in M x M float64 arrays, stays near what the result
+    # needs: distances, the ranking's index array and the weights
+    m = 400
+    samples = np.random.default_rng(5).standard_normal((m, 4, 4, 3))
+    tracemalloc.start()
+    try:
+        build_graph(samples, k=4, strategy=strategy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / (8.0 * m * m) <= bound
 
 
 @pytest.mark.parametrize("fault", ["nan", "inf", "overflow"])
