@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor import _stack_norm
+from .tensor import _CHUNK_FLOATS, _stack_norm
 
 STRATEGIES = ("binary", "heat_kernel", "cosine")
 
@@ -65,15 +65,15 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     sq = np.einsum("ij,ij->i", flat, flat)
     d2 = flat @ flat.T
     d2 *= -2.0
-    d2 += np.add.outer(sq, sq)           # the bits of (sq_i + sq_j) - 2 <x_i, x_j>
+    with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
+        d2 += np.add.outer(sq, sq)       # the bits of (sq_i + sq_j) - 2 <x_i, x_j>
     np.maximum(d2, 0.0, out=d2)
     # mirror the upper triangle so distances are exactly symmetric
     np.copyto(d2, d2.T, where=np.tri(m, k=-1, dtype=bool))
 
     # k nearest neighbors of each sample, self excluded, ties by lower index
     np.fill_diagonal(d2, np.inf)
-    connected = np.zeros((m, m), dtype=bool)
-    connected[np.arange(m)[:, None], np.argsort(d2, axis=1, kind="stable")[:, :k]] = True
+    connected = _knn_mask(d2, k)
     np.fill_diagonal(d2, 0.0)
     connected |= connected.T
 
@@ -82,6 +82,7 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     elif strategy == "heat_kernel":
         w = np.exp(np.divide(d2, -delta, out=d2), out=d2)     # exp(-d2 / delta)
     else:
+        del d2                           # not read by cosine weights: frees M x M doubles
         # exact power-of-two row scaling: tiny entries' squares do not underflow
         flat = np.ldexp(flat, -np.frexp(np.abs(flat).max(axis=1))[1][:, None])
         norms = np.linalg.norm(flat, axis=1)
@@ -93,10 +94,31 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
         w = np.triu(w, 1)
         w += w.T
         np.clip(w, 0.0, 1.0, out=w)                         # drop negative similarities
-    w[~connected] = 0.0
+    w *= connected                       # w is finite: zero off the k-NN pattern, no mask copy
     np.fill_diagonal(w, 0.0)
     return WeightGraph(w=w, k=k, strategy=strategy,
                        delta=delta if strategy == "heat_kernel" else None)
+
+
+def _knn_mask(d2: np.ndarray, k: int) -> np.ndarray:
+    """Each row's k smallest entries of d2 as a boolean mask, ties at the k-th
+    smallest value taken in index order: the first k of a stable argsort. Rows
+    are partitioned in blocks of M/8 rows, kept between ~128 KB (or all of d2)
+    and ~1 MB: a block's copy stays small beside a large d2, and a small d2 is
+    one block."""
+    m = d2.shape[0]
+    step = max(min(m, _CHUNK_FLOATS // (8 * m)), min(m // 8, _CHUNK_FLOATS // m), 1)
+    mask = np.empty(d2.shape, dtype=bool)
+    for r in range(0, m, step):
+        block, out = d2[r:r + step], mask[r:r + step]
+        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+        np.less_equal(block, kth, out=out)
+        over = np.flatnonzero(np.count_nonzero(out, axis=1) > k)   # more ties than places
+        if over.size:
+            ties = block[over] == kth[over]
+            spare = k - np.count_nonzero(block[over] < kth[over], axis=1)
+            out[over] &= ~ties | (np.cumsum(ties, axis=1) <= spare[:, None])
+    return mask
 
 
 def _adjacency(w: np.ndarray):

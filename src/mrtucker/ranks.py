@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym_eig
-from .tensor import _stack_norm, unfold
+from .tensor import _mode_gram, _stack_norm
 
 # Gram matrices of exactly low-rank data carry noise-level eigenvalues;
 # values below this fraction of the largest are zeroed before forming ratios.
@@ -28,10 +28,8 @@ class RankPolicy:
 
 def mode_energy_spectrum(samples: np.ndarray, mode: int) -> np.ndarray:
     """Descending eigenvalues of sum_i X^(i)_(mode) X^(i)_(mode)^T."""
-    # sample axis is 0, tensor modes are axes 1..N; the accumulated Gram equals
-    # the mode-(mode+1) Gram of the stacked array
-    y = unfold(samples, mode + 1)
-    return sym_eig(y @ y.T).values
+    # sample axis is 0, tensor modes are axes 1..N
+    return sym_eig(_mode_gram(samples, mode + 1)).values
 
 
 def rank_from_spectrum(values: np.ndarray, sigma: float) -> int:

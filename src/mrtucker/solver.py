@@ -25,7 +25,8 @@ import numpy as np
 
 from .graph import WeightGraph, _adjacency, zero_graph
 from .linalg import qf, thin_svd
-from .tensor import L0_TOL, _stack_norm, mode_product, multi_mode_product, unfold
+from .tensor import (L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product,
+                     multi_mode_product, unfold)
 
 
 @dataclass
@@ -119,12 +120,6 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
     samples, cores = _check_shapes(samples, cores, factors)
     edges = _adjacency((graph or zero_graph(samples.shape[0])).w)[1]
     return _terms(cores, _fit(samples, cores, factors), edges, config)
-
-
-def _chunks(rows: int, width: int):
-    """Slices over `rows` rows of `width` doubles each, about 1 MB at a time."""
-    step = max(1, 2 ** 17 // width)
-    return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
 def _sq_dist(cores, mats, b) -> float:
@@ -236,8 +231,7 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     projected = np.asarray(samples, dtype=np.float64)
     mats = []
     for n in range(3):
-        y = unfold(projected, n + 1)
-        mats.append(thin_svd(y @ y.T).u[:, :ranks[n]])
+        mats.append(thin_svd(_mode_gram(projected, n + 1)).u[:, :ranks[n]])
         projected = mode_product(projected, mats[n].T, n + 1)
     return FactorSet(*mats), np.ascontiguousarray(projected)
 

@@ -1,4 +1,5 @@
-"""Dense tensor primitives: unfolding, folding and mode products.
+"""Dense tensor primitives: unfolding, folding, mode products and the mode Grams
+of a sample stack.
 
 Tensors are plain float64 numpy arrays. The flat-storage convention used by the
 on-disk format and by all unfoldings is first-index-fastest (Fortran order):
@@ -16,6 +17,9 @@ import numpy as np
 # |x| <= L0_TOL counts as zero; soft-thresholding produces exact zeros, this
 # only guards against downstream arithmetic noise.
 L0_TOL = 1e-12
+
+# float64 entries per chunk of a chunked pass over a large array (~1 MB)
+_CHUNK_FLOATS = 2 ** 17
 
 
 def as_tensor(t) -> np.ndarray:
@@ -80,6 +84,40 @@ def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False)
     for u, mode in zip(mats, modes):
         out = mode_product(out, u.T if transpose else u, mode)
     return out
+
+
+def _chunks(rows: int, width: int):
+    """Slices over `rows` rows of `width` doubles each, about 1 MB at a time."""
+    step = max(1, _CHUNK_FLOATS // max(1, width))
+    return (slice(lo, lo + step) for lo in range(0, rows, step))
+
+
+def _mode_gram(stack: np.ndarray, mode: int) -> np.ndarray:
+    """unfold(stack, mode) @ unfold(stack, mode).T for a mode >= 1 of a sample
+    stack (sample axis 0): sum_i X^(i)_(n) X^(i)_(n)^T, with no stack-sized copy
+    of a C-contiguous stack. The last mode is one GEMM on the C-order (rest, I_n)
+    view; other modes add up ~1 MB slabs of samples, per-sample Grams batched for
+    mode 1 and the slab's axis moved to the front for the rest (the column order
+    of an unfolding does not change its Gram)."""
+    stack = as_tensor(stack)
+    if not 1 <= mode < stack.ndim:
+        raise ValueError(f"mode {mode} is not a sample mode of an order-{stack.ndim} stack")
+    i_n = stack.shape[mode]
+    rest = math.prod(stack.shape[1:mode] + stack.shape[mode + 1:])  # per sample
+    if mode == stack.ndim - 1:
+        y = stack.reshape(stack.shape[0] * rest, i_n)
+        return y.T @ y
+    gram = np.zeros((i_n, i_n))
+    # per sample, a slab holds I_n * rest entries and its batch of Grams I_n * I_n
+    for s in _chunks(stack.shape[0], i_n * max(i_n, rest)):
+        slab = stack[s]
+        if mode == 1:
+            y = slab.reshape(slab.shape[0], i_n, rest)
+            gram += (y @ y.transpose(0, 2, 1)).sum(axis=0)
+        else:
+            y = np.moveaxis(slab, mode, 0).reshape(i_n, slab.shape[0] * rest)
+            gram += y @ y.T
+    return gram
 
 
 def _stack_norm(samples: np.ndarray) -> float:

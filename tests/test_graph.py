@@ -3,6 +3,7 @@ strategies, tie handling, and the CSV edge-list export."""
 
 import csv
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrtucker import WeightGraph, build_graph, zero_graph
-from mrtucker.graph import save_edge_list
+from mrtucker import WeightGraph, build_graph, graph, zero_graph
+from mrtucker.graph import DEFAULT_DELTA, save_edge_list
 
 
 def scalar_samples(values):
@@ -142,6 +143,69 @@ def test_graph_invariants_property(data, strategy):
     pattern = build_graph(samples, k).w != 0.0
     assert np.all(pattern.sum(axis=1) >= k)
     assert not np.any((w != 0.0) & ~pattern)
+
+
+def stable_argsort_graph(samples, k, strategy, delta):
+    """Oracle W: each sample links the first k of a stable argsort of its
+    distances (self at distance inf, so ties at inf can pick it), then the
+    mutual-OR pattern is weighted. Distances are direct differences, exact on
+    the small integer-valued stacks below."""
+    m = samples.shape[0]
+    flat = samples.reshape(m, -1)
+    with np.errstate(over="ignore"):
+        d2 = ((flat[:, None] - flat[None]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    picked = np.zeros((m, m), dtype=bool)
+    picked[np.arange(m)[:, None], np.argsort(d2, axis=1, kind="stable")[:, :k]] = True
+    picked |= picked.T
+    np.fill_diagonal(picked, False)
+    if strategy == "binary":
+        w = np.ones((m, m))
+    elif strategy == "heat_kernel":
+        w = np.exp(d2 / -delta)
+    else:
+        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        w = np.clip(flat @ flat.T / np.outer(norms, norms), 0.0, 1.0) + 0.0   # no -0.0
+    return np.where(picked, w, 0.0)
+
+
+@st.composite
+def tie_heavy_stacks(draw):
+    """2-12 samples drawn with repeats from a pool of 1-5 samples with entries
+    in {-2, ..., 2}: exact duplicates and equal distances throughout."""
+    shape = tuple(draw(st.lists(st.integers(1, 2), min_size=3, max_size=3)))
+    pool = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)),) + shape,
+                           elements=st.integers(-2, 2).map(float)))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=12))
+    return pool[picks]
+
+
+def assert_knn_tie_rule(samples, delta):
+    m = samples.shape[0]
+    for strategy in ("binary", "heat_kernel", "cosine"):
+        if strategy == "cosine" and not samples.reshape(m, -1).any(axis=1).all():
+            continue                                    # rejected as zero-norm
+        for k in range(1, m):
+            w = build_graph(samples, k, strategy, delta).w
+            assert w.tobytes() == stable_argsort_graph(samples, k, strategy, delta).tobytes()
+
+
+@given(tie_heavy_stacks(), st.sampled_from([1, 400, graph._CHUNK_FLOATS]))
+def test_knn_selection_keeps_stable_argsort_tie_rule(samples, chunk):
+    # every k and strategy, with row blocks of one row, of a few rows and of
+    # all rows: W bitwise equal to the stable-argsort oracle's
+    with mock.patch.object(graph, "_CHUNK_FLOATS", chunk):
+        assert_knn_tie_rule(samples, delta=3.0)
+
+
+def test_knn_selection_with_inf_distance_ties():
+    # ||X||^2 is finite, yet sample 0 is at distance inf from samples 1-3: its
+    # row ties at inf with its own diagonal, which the lower-index rule picks
+    # first (k=1 leaves sample 0 without a neighbour of its own)
+    big = np.sqrt(np.finfo(np.float64).max)
+    samples = scalar_samples([0.63 * big, -0.4 * big, -0.4 * big, -0.4 * big])
+    assert_knn_tie_rule(samples, delta=DEFAULT_DELTA)
+    assert not build_graph(samples, 1).w[0].any()
 
 
 @pytest.mark.parametrize("strategy, bound", [("binary", 4.5), ("heat_kernel", 4.5),

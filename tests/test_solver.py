@@ -555,6 +555,21 @@ def test_init_state_does_not_collide_with_generator_seed():
     assert np.linalg.norm(factors.u1 - truth.u1) > 1e-3
 
 
+@pytest.mark.parametrize("setup", [lambda x: init_state(x, (5, 5, 6)), select_ranks],
+                         ids=["init_state", "select_ranks"])
+def test_setup_peak_memory_below_half_a_stack(setup):
+    # the mode Grams accumulate without a copy of the stack: on M=200 samples
+    # of 24x24x8 (~7 slabs of ~1 MB) the traced peak stays below half the stack
+    x = np.random.default_rng(0).standard_normal((200, 24, 24, 8))
+    tracemalloc.start()
+    try:
+        setup(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.5 * x.nbytes, peak / x.nbytes
+
+
 # ------------------------------------------------------------- stationarity
 
 def test_stationarity_zero_at_constructed_fixed_point():

@@ -1,14 +1,18 @@
 """Property tests of the mode products: every order 1-4 and every mode,
 J below and above I_n, size-0 extents, and non-contiguous inputs, against the
-unfolding route and a brute-force sum."""
+unfolding route and a brute-force sum; and of the stack's mode Grams against
+the unfolding route."""
+
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrtucker import fold, mode_product, multi_mode_product, unfold
+from mrtucker import fold, mode_product, multi_mode_product, tensor, unfold
 from test_tensor import mode_product_bruteforce
 
 ENTRIES = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
@@ -74,3 +78,23 @@ def test_multi_mode_product_transpose_applies_each_in_turn(data):
     for u, m in zip(mats, modes):
         expected = mode_product(expected, u.T, m)
     assert_array_equal(multi_mode_product(t, mats, modes=modes, transpose=True), expected)
+
+
+@given(st.data())
+def test_mode_gram_matches_unfold_route(data):
+    # every sample mode of stacks with M >= 1 and extents 0-4, in any layout
+    # (Fortran order too), accumulated over slabs of one sample up to the whole stack
+    shape = (data.draw(st.integers(1, 5)),) + tuple(
+        data.draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)))
+    x = data.draw(arrays(shape))
+    slab = data.draw(st.sampled_from([1, 20, tensor._CHUNK_FLOATS]))
+    for mode in (1, 2, 3):
+        y = unfold(x, mode)
+        expected = y @ y.T
+        tol = {"rtol": 1e-13, "atol": 1e-13 * np.abs(expected).max(initial=0.0)}
+        with mock.patch.object(tensor, "_CHUNK_FLOATS", slab):
+            for layout in (x, np.asfortranarray(x)):
+                assert_allclose(tensor._mode_gram(layout, mode), expected, **tol)
+    for mode in (0, 4):
+        with pytest.raises(ValueError):
+            tensor._mode_gram(x, mode)
