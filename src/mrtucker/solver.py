@@ -25,8 +25,7 @@ import numpy as np
 
 from .graph import WeightGraph, _adjacency, zero_graph
 from .linalg import qf, thin_svd
-from .tensor import (L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product,
-                     multi_mode_product, unfold)
+from .tensor import L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product, multi_mode_product
 
 
 @dataclass
@@ -88,9 +87,9 @@ class SolveResult:
     n_iter: int
 
 
-def soft_threshold(x, tau):
-    """max(|x| - tau, 0) * sign(x), elementwise."""
-    return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
+def soft_threshold(x, tau, out=None):
+    """copysign(max(|x| - tau, 0), x), elementwise; out (x itself, say) takes the result."""
+    return np.copysign(np.maximum(np.abs(x) - tau, 0.0), x, out=out)
 
 
 def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
@@ -165,7 +164,7 @@ def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np
     with np.errstate(invalid="ignore", over="ignore"):
         y = projected if projected is not None else multi_mode_product(
             samples, [factors[k] for k in other], modes=[k + 1 for k in other], transpose=True)
-        b = unfold(y, n + 1) @ unfold(cores, n + 1).T
+        b = _mode_gram(y, n + 1, cores)
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
     return b
@@ -190,18 +189,28 @@ def _factor_phase(samples, mats: list, factor_block) -> np.ndarray:
     return mode_product(z, mats[2].T, 3).reshape(samples.shape[0], -1)
 
 
-def core_threshold(graph_row_sum: float, config: SolverConfig) -> float:
-    """tau^(i) = beta / (gamma (beta + 2 s_i))."""
+def core_threshold(graph_row_sum, config: SolverConfig):
+    """tau^(i) = beta / (gamma (beta + 2 s_i)), for one row sum or an array of them."""
     return config.beta / (config.gamma * (config.beta + 2.0 * graph_row_sum))
 
 
-def _core_prox(d_i, flat_cores, neighbours, s_i, config: SolverConfig) -> np.ndarray:
-    """Closed-form minimiser of core i's subproblem (cores j != i fixed), flat:
+def _prox_coefs(row_sums, config: SolverConfig):
+    """The core updates' per-row coefficients (beta + 2 s_i, tau^(i)), formed once."""
+    return config.beta + 2.0 * row_sums, core_threshold(row_sums, config)
+
+
+def _core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out) -> np.ndarray:
+    """Closed-form minimiser of core i's subproblem (cores j != i fixed), flat, into out:
     the prox centre alpha^(i) = (beta D^(i) + 2 sum_j w_ij G^(j)) / (beta + 2 s_i),
-    summed over the row's (neighbour indices, weights), soft-thresholded at tau^(i)."""
+    summed over the row's (neighbour indices, weights), soft-thresholded at tau^(i).
+    bd_i = beta D^(i); den_i and tau_i come from _prox_coefs. out may be core i's own
+    row, which is never its own neighbour."""
     idx, wts = neighbours
-    alpha = (config.beta * d_i + 2.0 * (wts @ flat_cores[idx])) / (config.beta + 2.0 * s_i)
-    return soft_threshold(alpha, core_threshold(s_i, config))
+    np.matmul(wts, flat_cores[idx], out=out)
+    out *= 2.0
+    out += bd_i
+    out /= den_i
+    return soft_threshold(out, tau_i, out=out)
 
 
 def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
@@ -212,8 +221,9 @@ def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
     d_i = multi_mode_product(samples[i], factors, transpose=True)
     w_row = (graph or zero_graph(samples.shape[0])).w[i]
     idx = np.flatnonzero(w_row)
-    return _core_prox(d_i.ravel(), cores.reshape(cores.shape[0], -1), (idx, w_row[idx]),
-                      float(w_row.sum()), config).reshape(d_i.shape)
+    return _core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
+                      (idx, w_row[idx]), *_prox_coefs(float(w_row.sum()), config),
+                      np.empty(d_i.size)).reshape(d_i.shape)
 
 
 def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
@@ -269,6 +279,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     flat = cores.reshape(m, -1)          # a view: the core sweep writes through it
     neighbours, edges = _adjacency(graph.w)
     row_sums = graph.row_sums()
+    den, tau = _prox_coefs(row_sums, config)
     decrease_coef = 0.5 + row_sums / config.beta
 
     prev_total, *_ = _terms(cores, _fit(samples, cores, mats), edges, config)
@@ -286,8 +297,9 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         d_all = _factor_phase(samples, mats,
                               lambda n, y: update_factor(samples, cores, mats, n, y))
         old_flat = flat.copy()
+        bd = config.beta * d_all
         for i in range(m):       # Gauss-Seidel: sequential by construction
-            flat[i] = _core_prox(d_all[i], flat, neighbours[i], row_sums[i], config)
+            _core_prox(bd[i], flat, neighbours[i], den[i], tau[i], flat[i])
 
         fit = _fit_from_d(norm_x ** 2, d_all, flat) if d_form else _fit(samples, cores, mats)
         total, l1, fit, manifold = _terms(cores, fit, edges, config)
@@ -331,8 +343,8 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     factor_res = np.zeros(3)
 
     def factor_block(n, projected):     # records mode n's residual, keeps U_n
-        u, gn = factors[n], unfold(cores, n + 1)
-        grad = u @ (gn @ gn.T) - _factor_cross_product(samples, cores, factors, n, projected)
+        u, b = factors[n], _factor_cross_product(samples, cores, factors, n, projected)
+        grad = u @ _mode_gram(cores, n + 1) - b
         utg = u.T @ grad
         factor_res[n] = float(np.linalg.norm(grad - u @ (0.5 * (utg + utg.T))))
         return u
@@ -340,7 +352,10 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     m = samples.shape[0]
     flat = cores.reshape(m, -1)
     neighbours, _ = _adjacency(graph.w)
-    row_sums = graph.row_sums()
-    d_all = _factor_phase(samples, list(factors), factor_block)
-    fixed = [_core_prox(d_all[i], flat, neighbours[i], row_sums[i], config) for i in range(m)]
-    return factor_res, np.linalg.norm(flat - np.array(fixed), axis=1)
+    den, tau = _prox_coefs(graph.row_sums(), config)
+    bd = _factor_phase(samples, list(factors), factor_block)
+    bd *= config.beta
+    fixed = np.empty_like(flat)
+    for i in range(m):
+        _core_prox(bd[i], flat, neighbours[i], den[i], tau[i], fixed[i])
+    return factor_res, np.linalg.norm(np.subtract(flat, fixed, out=fixed), axis=1)

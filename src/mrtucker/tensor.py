@@ -92,32 +92,41 @@ def _chunks(rows: int, width: int):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _mode_gram(stack: np.ndarray, mode: int) -> np.ndarray:
-    """unfold(stack, mode) @ unfold(stack, mode).T for a mode >= 1 of a sample
-    stack (sample axis 0): sum_i X^(i)_(n) X^(i)_(n)^T, with no stack-sized copy
-    of a C-contiguous stack. The last mode is one GEMM on the C-order (rest, I_n)
-    view; other modes add up ~1 MB slabs of samples, per-sample Grams batched for
-    mode 1 and the slab's axis moved to the front for the rest (the column order
-    of an unfolding does not change its Gram)."""
-    stack = as_tensor(stack)
-    if not 1 <= mode < stack.ndim:
-        raise ValueError(f"mode {mode} is not a sample mode of an order-{stack.ndim} stack")
-    i_n = stack.shape[mode]
-    rest = math.prod(stack.shape[1:mode] + stack.shape[mode + 1:])  # per sample
-    if mode == stack.ndim - 1:
-        y = stack.reshape(stack.shape[0] * rest, i_n)
-        return y.T @ y
-    gram = np.zeros((i_n, i_n))
-    # per sample, a slab holds I_n * rest entries and its batch of Grams I_n * I_n
-    for s in _chunks(stack.shape[0], i_n * max(i_n, rest)):
-        slab = stack[s]
+def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndarray:
+    """unfold(a, mode) @ unfold(b, mode).T for a mode >= 1 of two sample stacks
+    (sample axis 0) that agree off that mode: sum_i A^(i)_(n) B^(i)_(n)^T, with no
+    stack-sized copy of C-contiguous stacks. b defaults to a, the mode Gram. The
+    last mode is one GEMM on the C-order (rest, I_n) views; other modes add up
+    ~1 MB slabs of samples, per-sample products batched for mode 1 and the slab's
+    axis moved to the front for the rest (both stacks take the same column order,
+    so the product does not change); the Gram reuses the moved slab."""
+    a = as_tensor(a)
+    b = a if b is None else as_tensor(b)
+    if not 1 <= mode < a.ndim:
+        raise ValueError(f"mode {mode} is not a sample mode of an order-{a.ndim} stack")
+    off = a.shape[:mode] + a.shape[mode + 1:]
+    if b.ndim != a.ndim or b.shape[:mode] + b.shape[mode + 1:] != off:
+        raise ValueError(f"stacks of shapes {a.shape} and {b.shape} differ off mode {mode}")
+    i_n, j_n = a.shape[mode], b.shape[mode]
+    rest = math.prod(off[1:])     # per sample
+    if mode == a.ndim - 1:
+        ya = a.reshape(a.shape[0] * rest, i_n)
+        yb = ya if b is a else b.reshape(b.shape[0] * rest, j_n)
+        return ya.T @ yb
+    out = np.zeros((i_n, j_n))
+    # per sample, a slab holds I_n * rest entries and its batch of products I_n * J_n
+    width = max(i_n, j_n)
+    for s in _chunks(a.shape[0], width * max(width, rest)):
+        sa, sb = a[s], b[s]
         if mode == 1:
-            y = slab.reshape(slab.shape[0], i_n, rest)
-            gram += (y @ y.transpose(0, 2, 1)).sum(axis=0)
+            ya = sa.reshape(sa.shape[0], i_n, rest)
+            yb = ya if b is a else sb.reshape(sb.shape[0], j_n, rest)
+            out += (ya @ yb.transpose(0, 2, 1)).sum(axis=0)
         else:
-            y = np.moveaxis(slab, mode, 0).reshape(i_n, slab.shape[0] * rest)
-            gram += y @ y.T
-    return gram
+            ya = np.moveaxis(sa, mode, 0).reshape(i_n, sa.shape[0] * rest)
+            yb = ya if b is a else np.moveaxis(sb, mode, 0).reshape(j_n, sb.shape[0] * rest)
+            out += ya @ yb.T
+    return out
 
 
 def _stack_norm(samples: np.ndarray) -> float:

@@ -14,6 +14,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mrtucker.solver as sv
+from mrtucker import tensor
 from mrtucker import (
     FactorSet,
     SolverConfig,
@@ -183,9 +184,30 @@ def test_factor_cross_product_matches_phi_route():
         other = [k for k in range(3) if k != n]
         phi = sv.multi_mode_product(cores, [mats[k] for k in other],
                                     modes=[k + 1 for k in other])
-        expected = sv.unfold(x, n + 1) @ sv.unfold(phi, n + 1).T
+        expected = tensor.unfold(x, n + 1) @ tensor.unfold(phi, n + 1).T
         got = sv._factor_cross_product(x, cores, factors, n)
         assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_factor_cross_product_peak_memory_below_half_a_projection():
+    # B contracts the C-order projection and cores with no copy of either: on
+    # M=300 samples of 48x48x8 at ranks (6, 6, 4), a projection of up to ~3 slabs
+    # of ~1 MB, the traced peak stays below half the projection in every mode
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((300, 48, 48, 8))
+    factors = random_factors(rng, x.shape[1:], (6, 6, 4))
+    cores = rng.standard_normal((300, 6, 6, 4))
+    for n in range(3):
+        other = [k for k in range(3) if k != n]
+        y = sv.multi_mode_product(x, [factors[k] for k in other], modes=[k + 1 for k in other],
+                                  transpose=True)
+        tracemalloc.start()
+        try:
+            sv._factor_cross_product(x, cores, factors, n, projected=y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.5 * y.nbytes, (n, peak / y.nbytes)
 
 
 # ------------------------------------------------------ shared projections
@@ -209,9 +231,9 @@ def test_solve_sweep_matches_replay_from_raw_stack(ranks):
     d = sv.multi_mode_product(x, mats, modes=(1, 2, 3), transpose=True).reshape(len(x), -1)
     flat = cores.reshape(len(x), -1)
     neighbours, _ = _adjacency(g.w)
-    row_sums = g.row_sums()
+    den, tau = sv._prox_coefs(g.row_sums(), config)
     for i in range(len(x)):
-        flat[i] = sv._core_prox(d[i], flat, neighbours[i], row_sums[i], config)
+        sv._core_prox(config.beta * d[i], flat, neighbours[i], den[i], tau[i], flat[i])
     res = solve(x, g, ranks, config)
     assert res.n_iter == 1
     for got, want in zip(res.factors, mats):
@@ -242,6 +264,10 @@ def test_soft_threshold_examples():
     assert soft_threshold(-2.0, 0.5) == -1.5
     arr = soft_threshold(np.array([3.0, -0.1, 0.0]), 0.5)
     assert_allclose(arr, [2.5, 0.0, 0.0], rtol=0, atol=0)
+    x = np.array([3.0, -2.0, 0.2, -0.0])
+    assert soft_threshold(x, 0.5, out=x) is x
+    assert_array_equal(x, [2.5, -1.5, 0.0, 0.0])
+    assert_array_equal(np.signbit(x), [False, True, False, True])   # the input's sign
 
 
 def test_update_core_w0_shift():
@@ -311,12 +337,14 @@ def test_core_target_matches_dense_row_product():
     flat = cores.reshape(7, -1)
     for graph_w in (w, zero_graph(7).w):
         neighbours, _ = _adjacency(graph_w)
+        den, tau = sv._prox_coefs(graph_w.sum(axis=1), config)
         for i in range(7):
             s_i = graph_w[i].sum()
             dense = (config.beta * d[i] + 2.0 * np.tensordot(graph_w[i], cores, axes=(0, 0))
                      ) / (config.beta + 2.0 * s_i)
             dense = soft_threshold(dense, core_threshold(s_i, config))
-            got = sv._core_prox(d[i].ravel(), flat, neighbours[i], s_i, config)
+            got = np.empty(flat.shape[1])
+            sv._core_prox(config.beta * d[i].ravel(), flat, neighbours[i], den[i], tau[i], got)
             assert_allclose(got, dense.ravel(), rtol=1e-12, atol=1e-12 * np.abs(dense).max())
             if not graph_w[i].any():
                 assert len(neighbours[i][0]) == 0
@@ -345,7 +373,8 @@ def test_core_prox_satisfies_subgradient_optimality(case):
     # + (1/beta) sum_j w_j ||g - g_j||^2 at g = _core_prox(...), term by term
     d, flat, idx, wts, config = case
     s_i = float(wts.sum())
-    g = sv._core_prox(d, flat, (idx, wts), s_i, config)
+    g = np.empty_like(d)
+    sv._core_prox(config.beta * d, flat, (idx, wts), *sv._prox_coefs(s_i, config), g)
     grad = g - d + sum(2.0 * w * (g - flat[j]) for j, w in zip(idx, wts)) / config.beta
     scale = 1.0 + np.abs(d).max() + np.abs(flat).max()
     tol = 64 * np.finfo(float).eps * scale * (1.0 + 2.0 * s_i / config.beta)
@@ -604,8 +633,8 @@ def test_stationarity_factor_gradient_matches_finite_difference():
     other = [k for k in range(3) if k != n]
     phi = sv.multi_mode_product(cores, [mats[k] for k in other],
                                 modes=[k + 1 for k in other])
-    ps = sv.unfold(phi, n + 1)
-    xs = sv.unfold(x, n + 1)
+    ps = tensor.unfold(phi, n + 1)
+    xs = tensor.unfold(x, n + 1)
     grad = -(xs - u @ ps) @ ps.T
 
     def fit_at(mat):
@@ -633,8 +662,8 @@ def test_factor_residual_matches_data_space_form():
             other = [k for k in range(3) if k != n]
             phi = sv.multi_mode_product(res.cores, [mats[k] for k in other],
                                         modes=[k + 1 for k in other])
-            ps = sv.unfold(phi, n + 1)
-            grad = -(sv.unfold(x, n + 1) - u @ ps) @ ps.T
+            ps = tensor.unfold(phi, n + 1)
+            grad = -(tensor.unfold(x, n + 1) - u @ ps) @ ps.T
             utg = u.T @ grad
             expected = np.linalg.norm(grad - u @ (0.5 * (utg + utg.T)))
             assert abs(fr[n] - expected) <= 1e-9

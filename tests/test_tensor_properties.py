@@ -1,7 +1,7 @@
 """Property tests of the mode products: every order 1-4 and every mode,
 J below and above I_n, size-0 extents, and non-contiguous inputs, against the
-unfolding route and a brute-force sum; and of the stack's mode Grams against
-the unfolding route."""
+unfolding route and a brute-force sum; and of the stacks' mode Grams and
+two-stack mode contractions against the unfolding route."""
 
 from unittest import mock
 
@@ -83,18 +83,29 @@ def test_multi_mode_product_transpose_applies_each_in_turn(data):
 @given(st.data())
 def test_mode_gram_matches_unfold_route(data):
     # every sample mode of stacks with M >= 1 and extents 0-4, in any layout
-    # (Fortran order too), accumulated over slabs of one sample up to the whole stack
+    # (Fortran order too), accumulated over slabs of one sample up to the whole
+    # stack: the Gram, and the product with a second stack whose extent in that
+    # mode is drawn on its own (0-4), each stack C-ordered or Fortran-ordered
     shape = (data.draw(st.integers(1, 5)),) + tuple(
         data.draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)))
     x = data.draw(arrays(shape))
     slab = data.draw(st.sampled_from([1, 20, tensor._CHUNK_FLOATS]))
     for mode in (1, 2, 3):
         y = unfold(x, mode)
-        expected = y @ y.T
-        tol = {"rtol": 1e-13, "atol": 1e-13 * np.abs(expected).max(initial=0.0)}
-        with mock.patch.object(tensor, "_CHUNK_FLOATS", slab):
-            for layout in (x, np.asfortranarray(x)):
-                assert_allclose(tensor._mode_gram(layout, mode), expected, **tol)
+        other = data.draw(arrays(shape[:mode] + (data.draw(st.integers(0, 4)),)
+                                 + shape[mode + 1:]))
+        for b, yb in [(None, y), (other, unfold(other, mode))]:
+            expected = y @ yb.T
+            # |A||B|^T bounds the partial sums; for the Gram its largest entry is max|expected|
+            scale = (np.abs(y) @ np.abs(yb).T).max(initial=0.0)
+            tol = {"rtol": 1e-13, "atol": 1e-13 * scale}
+            with mock.patch.object(tensor, "_CHUNK_FLOATS", slab):
+                for layout in (x, np.asfortranarray(x)):
+                    for b_layout in ([None] if b is None else [b, np.asfortranarray(b)]):
+                        assert_allclose(tensor._mode_gram(layout, mode, b_layout), expected,
+                                        **tol)
     for mode in (0, 4):
         with pytest.raises(ValueError):
             tensor._mode_gram(x, mode)
+    with pytest.raises(ValueError):         # the stacks differ off the mode
+        tensor._mode_gram(x, 1, np.zeros(shape[:3] + (shape[3] + 1,)))
