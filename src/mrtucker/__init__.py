@@ -2,7 +2,7 @@
 order-3 tensor sample sets, solved by block coordinate descent."""
 
 from .graph import WeightGraph, build_graph, zero_graph
-from .linalg import SymEig, ThinSVD, qf, sym_eig, thin_svd
+from .linalg import qf, sym_eig, thin_svd
 from .ranks import RankPolicy, select_ranks
 from .solver import (
     FactorSet,
@@ -22,7 +22,6 @@ from .synth import (
     SynthSpec,
     evaluate,
     generate,
-    hooi_oracle,
     nearest_centroid,
     neighbor_preservation,
 )
@@ -30,12 +29,12 @@ from .tensor import fold, mode_product, multi_mode_product, unfold
 
 __all__ = [
     "WeightGraph", "build_graph", "zero_graph",
-    "SymEig", "ThinSVD", "qf", "sym_eig", "thin_svd",
+    "qf", "sym_eig", "thin_svd",
     "RankPolicy", "select_ranks",
     "FactorSet", "SolveResult", "SolverConfig", "SolverTrace",
     "objective", "relative_error", "soft_threshold", "solve",
     "stationarity_residual", "update_core", "update_factor",
-    "EvalReport", "SynthSpec", "evaluate", "generate", "hooi_oracle",
+    "EvalReport", "SynthSpec", "evaluate", "generate",
     "nearest_centroid", "neighbor_preservation",
     "fold", "mode_product", "multi_mode_product", "unfold",
 ]

@@ -201,10 +201,10 @@ def cmd_eval(args) -> int:
     factors, cores, _, trace_rows = io.load_run(args.run)
     wall = [row["wall_ms"] for row in trace_rows]
     report = evaluate(samples, cores, factors, labels=labels, k=args.k, wall_ms=wall)
+    d = dataclasses.asdict(report)
     if args.json:
-        print(json.dumps(report.as_dict(), sort_keys=True))
+        print(json.dumps(d, sort_keys=True))
     else:
-        d = report.as_dict()
         timing = d.pop("timing_ms")
         width = max(len(k) for k in d)
         for key, value in d.items():

@@ -8,7 +8,7 @@ ranking are broken by lower sample index so construction is deterministic.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

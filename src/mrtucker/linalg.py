@@ -8,22 +8,7 @@ factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-
-@dataclass
-class ThinSVD:
-    u: np.ndarray      # (I, R), orthonormal columns
-    s: np.ndarray      # (R,), descending, nonnegative
-    v: np.ndarray      # (R, R), orthogonal
-
-
-@dataclass
-class SymEig:
-    values: np.ndarray   # descending
-    vectors: np.ndarray  # orthonormal columns, vectors[:, j] pairs values[j]
 
 
 def _check_finite(a: np.ndarray) -> np.ndarray:
@@ -44,24 +29,24 @@ def _fix_signs(u: np.ndarray, v: np.ndarray | None = None):
     return u, v
 
 
-def thin_svd(a: np.ndarray) -> ThinSVD:
-    """Thin SVD of a matrix with rows >= cols."""
+def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, v), a = u diag(s) v^T with s descending, of a matrix with rows >= cols."""
     a = _check_finite(a)
     if a.ndim != 2 or a.shape[0] < a.shape[1]:
         raise ValueError(f"expected a tall matrix, got shape {a.shape}")
     u, s, vt = np.linalg.svd(a, full_matrices=False)
     u, v = _fix_signs(u, vt.T)
-    return ThinSVD(u=u, s=s, v=v)
+    return u, s, v
 
 
 def qf(a: np.ndarray) -> np.ndarray:
     """Orthogonal polar factor Y V^T of the thin SVD; maximizes <U, a> over St(I, R)."""
-    d = thin_svd(a)
-    return d.u @ d.v.T
+    u, _, v = thin_svd(a)
+    return u @ v.T
 
 
-def sym_eig(a: np.ndarray) -> SymEig:
-    """Eigendecomposition of a (numerically) symmetric matrix, values descending."""
+def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(values descending, matching orthonormal vectors as columns) of a symmetric matrix."""
     a = _check_finite(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -69,7 +54,5 @@ def sym_eig(a: np.ndarray) -> SymEig:
     if asym > 1e-8 * max(1.0, np.linalg.norm(a)):
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
-    vals = vals[::-1]
-    vecs = vecs[:, ::-1]
-    vecs, _ = _fix_signs(vecs)
-    return SymEig(values=vals, vectors=vecs)
+    vecs, _ = _fix_signs(vecs[:, ::-1])
+    return vals[::-1], vecs

@@ -29,7 +29,7 @@ class RankPolicy:
 def mode_energy_spectrum(samples: np.ndarray, mode: int) -> np.ndarray:
     """Descending eigenvalues of sum_i X^(i)_(mode) X^(i)_(mode)^T."""
     # sample axis is 0, tensor modes are axes 1..N
-    return sym_eig(_mode_gram(samples, mode + 1)).values
+    return sym_eig(_mode_gram(np.asarray(samples, dtype=np.float64), mode + 1))[0]
 
 
 def rank_from_spectrum(values: np.ndarray, sigma: float) -> int:

@@ -36,8 +36,9 @@ class SolverConfig:
     max_iter: int = 500
 
     def __post_init__(self):
-        if not (self.gamma > 0 and self.beta > 0 and self.zeta > 0):
-            raise ValueError("gamma, beta and zeta must be positive")
+        # beta = inf would make tau = beta / (gamma (beta + 2 s_i)) = inf / inf
+        if not (self.gamma > 0 and 0 < self.beta < math.inf and self.zeta > 0):
+            raise ValueError("gamma, beta and zeta must be positive, and beta finite")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
 
@@ -70,9 +71,6 @@ class IterationRecord:
 @dataclass
 class SolverTrace:
     records: list[IterationRecord] = field(default_factory=list)
-
-    def append(self, rec: IterationRecord) -> None:
-        self.records.append(rec)
 
     def objectives(self) -> np.ndarray:
         return np.array([r.objective for r in self.records])
@@ -241,7 +239,7 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     projected = np.asarray(samples, dtype=np.float64)
     mats = []
     for n in range(3):
-        mats.append(thin_svd(_mode_gram(projected, n + 1)).u[:, :ranks[n]])
+        mats.append(thin_svd(_mode_gram(projected, n + 1))[0][:, :ranks[n]])
         projected = mode_product(projected, mats[n].T, n + 1)
     return FactorSet(*mats), np.ascontiguousarray(projected)
 
@@ -307,7 +305,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
             raise FloatingPointError(f"non-finite objective at iteration {it}")
         moved = flat - old_flat
         bound = float(np.dot(decrease_coef, np.einsum("ip,ip->i", moved, moved)))
-        trace.append(IterationRecord(
+        trace.records.append(IterationRecord(
             iteration=it, objective=total, l1_term=l1, fit_term=fit, manifold_term=manifold,
             relative_error=relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats,
                                           norm_x),

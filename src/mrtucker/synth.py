@@ -1,15 +1,15 @@
-"""Synthetic data generation, an independent HOOI reference solver, and the
-evaluation metrics used by the acceptance tests and the CLI eval command."""
+"""Synthetic data generation and the evaluation metrics used by the acceptance
+tests and the CLI eval command."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import qf, sym_eig
+from .linalg import qf
 from .solver import FactorSet, _check_shapes, _fit, reconstruct
-from .tensor import L0_TOL, multi_mode_product, unfold
+from .tensor import L0_TOL
 
 
 @dataclass
@@ -79,46 +79,6 @@ def generate(spec: SynthSpec) -> tuple[np.ndarray, SynthTruth]:
     return samples, SynthTruth(factors=factors, cores=cores, labels=labels)
 
 
-def _leading_subspace(stacked: np.ndarray, mode: int, rank: int) -> np.ndarray:
-    """Top eigenvectors of the accumulated mode-n Gram over the sample stack."""
-    y = unfold(stacked, mode + 1)
-    return sym_eig(y @ y.T).vectors[:, :rank]
-
-
-def hooi_oracle(samples, ranks, max_iter: int = 100, tol: float = 1e-10,
-                ) -> tuple[FactorSet, np.ndarray]:
-    """Plain alternating orthogonal Tucker on the stacked samples (identity
-    factor on the sample mode); no sparsity, no manifold term.
-
-    Reference implementation for cross-checking the solver in its
-    gamma -> inf, W = 0 limit; deliberately eigen-based rather than built on
-    the solver's qf update path.
-    """
-    samples = np.asarray(samples, dtype=np.float64)
-    ranks = tuple(int(r) for r in ranks)
-    if any(not 1 <= r <= e for r, e in zip(ranks, samples.shape[1:])):
-        raise ValueError(f"ranks {ranks} incompatible with extents {samples.shape[1:]}")
-
-    mats = [_leading_subspace(samples, n, ranks[n]) for n in range(3)]  # HOSVD start
-    prev_fit = None
-    for _ in range(max_iter):
-        for n in range(3):
-            other = [k for k in range(3) if k != n]
-            y = multi_mode_product(samples, [mats[k] for k in other],
-                                   modes=[k + 1 for k in other], transpose=True)
-            mats[n] = _leading_subspace(y, n, ranks[n])
-        cores = multi_mode_product(samples, mats, modes=(1, 2, 3), transpose=True)
-        # for orthonormal projections the fit is ||X||^2 - ||G||^2
-        fit = 0.5 * (float(np.dot(samples.ravel(), samples.ravel()))
-                     - float(np.dot(cores.ravel(), cores.ravel())))
-        if prev_fit is not None and abs(prev_fit - fit) <= tol * max(1.0, abs(prev_fit)):
-            break
-        prev_fit = fit
-    factors = FactorSet(*mats)
-    cores = multi_mode_product(samples, mats, modes=(1, 2, 3), transpose=True)
-    return factors, cores
-
-
 def _knn_sets(points: np.ndarray, k: int) -> list[set[int]]:
     """Each point's k nearest others, ties by lower index. Distances come from
     direct differences, one row at a time: the Gram form |a|^2 + |b|^2 - 2<a,b>
@@ -145,7 +105,7 @@ def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:
     return float(np.mean([len(raw_nn[i] & core_nn[i]) / k for i in range(m)]))
 
 
-def nearest_centroid(cores: np.ndarray, labels, split_seed: int = 0) -> float:
+def nearest_centroid(cores: np.ndarray, labels) -> float:
     """Stratified 50/50 split; classify test cores by nearest class centroid
     of the train cores (flattened)."""
     cores = np.asarray(cores, dtype=np.float64)
@@ -154,7 +114,7 @@ def nearest_centroid(cores: np.ndarray, labels, split_seed: int = 0) -> float:
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError("need at least two classes")
-    rng = np.random.default_rng(split_seed)
+    rng = np.random.default_rng(0)
     train_idx, test_idx = [], []
     for c in classes:
         idx = np.flatnonzero(labels == c)
@@ -183,18 +143,15 @@ class EvalReport:
     nearest_centroid_accuracy: float | None
     timing_ms: dict = field(default_factory=dict)
 
-    def as_dict(self) -> dict:
-        return asdict(self)
-
 
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4,
-             wall_ms=None, split_seed: int = 0) -> EvalReport:
+             wall_ms=None) -> EvalReport:
     samples, cores = _check_shapes(samples, cores, factors)
     denom = max(np.linalg.norm(samples.ravel()), np.finfo(float).tiny)
     re = float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom)
     accuracy = None
     if labels is not None:
-        accuracy = nearest_centroid(cores, labels, split_seed=split_seed)
+        accuracy = nearest_centroid(cores, labels)
     timing = {}
     if wall_ms is not None and len(wall_ms) > 0:
         wall = np.asarray(wall_ms, dtype=np.float64)

@@ -22,11 +22,6 @@ L0_TOL = 1e-12
 _CHUNK_FLOATS = 2 ** 17
 
 
-def as_tensor(t) -> np.ndarray:
-    """Coerce to a float64 ndarray of order >= 1."""
-    return np.atleast_1d(np.asarray(t, dtype=np.float64))
-
-
 def _check_mode(t: np.ndarray, mode: int) -> None:
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
@@ -34,7 +29,7 @@ def _check_mode(t: np.ndarray, mode: int) -> None:
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-n unfolding (0-based mode)."""
-    t = as_tensor(t)
+    t = np.asarray(t, dtype=np.float64)
     _check_mode(t, mode)
     rest = math.prod(t.shape[:mode] + t.shape[mode + 1:])     # no -1: size-0 tensors work
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], rest), order="F")
@@ -57,7 +52,7 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     """Mode-n product t x_n u; u has shape (J, I_n). A matmul over t's C-order
     view as (lead, I_n, trail), or one GEMM on (lead, I_n) for the last mode, so
     a C-contiguous t is never copied; explicit extents keep size-0 tensors working."""
-    t = as_tensor(t)
+    t = np.asarray(t, dtype=np.float64)
     _check_mode(t, mode)
     u = np.asarray(u, dtype=np.float64)
     if u.ndim != 2 or u.shape[1] != t.shape[mode]:
@@ -80,7 +75,7 @@ def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False)
     """
     if modes is None:
         modes = range(len(mats))
-    out = as_tensor(t)
+    out = np.asarray(t, dtype=np.float64)
     for u, mode in zip(mats, modes):
         out = mode_product(out, u.T if transpose else u, mode)
     return out
@@ -93,15 +88,14 @@ def _chunks(rows: int, width: int):
 
 
 def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndarray:
-    """unfold(a, mode) @ unfold(b, mode).T for a mode >= 1 of two sample stacks
+    """unfold(a, mode) @ unfold(b, mode).T for a mode >= 1 of two float64 sample stacks
     (sample axis 0) that agree off that mode: sum_i A^(i)_(n) B^(i)_(n)^T, with no
     stack-sized copy of C-contiguous stacks. b defaults to a, the mode Gram. The
     last mode is one GEMM on the C-order (rest, I_n) views; other modes add up
     ~1 MB slabs of samples, per-sample products batched for mode 1 and the slab's
     axis moved to the front for the rest (both stacks take the same column order,
     so the product does not change); the Gram reuses the moved slab."""
-    a = as_tensor(a)
-    b = a if b is None else as_tensor(b)
+    b = a if b is None else b
     if not 1 <= mode < a.ndim:
         raise ValueError(f"mode {mode} is not a sample mode of an order-{a.ndim} stack")
     off = a.shape[:mode] + a.shape[mode + 1:]
@@ -126,6 +120,7 @@ def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndar
             ya = np.moveaxis(sa, mode, 0).reshape(i_n, sa.shape[0] * rest)
             yb = ya if b is a else np.moveaxis(sb, mode, 0).reshape(j_n, sb.shape[0] * rest)
             out += ya @ yb.T
+        del ya, yb     # a slab's views and copies go before the next slab's are made
     return out
 
 

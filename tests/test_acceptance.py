@@ -23,7 +23,6 @@ from mrtucker import (
     SynthSpec,
     build_graph,
     generate,
-    hooi_oracle,
     nearest_centroid,
     neighbor_preservation,
     qf,
@@ -34,6 +33,8 @@ from mrtucker import (
 from mrtucker.cli import main
 from mrtucker.ranks import rank_from_spectrum
 from mrtucker.solver import reconstruct
+
+from hooi import hooi_oracle
 
 DEFAULT_RANKS = (5, 5, 6)
 

@@ -2,12 +2,16 @@
 byte-identical determinism contract."""
 
 import json
+import os
+import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mrtucker
 from mrtucker import cli
 from mrtucker.cli import main
 from mrtucker.io import read_tensor, write_tensor
@@ -111,6 +115,31 @@ def test_decompose_deterministic_byte_identical(synth_dir, tmp_path, capsys):
         runs.append(out)
     for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]:
         assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_decompose_deterministic_byte_identical_at_fixed_blas_threads(tmp_path, threads):
+    # two child processes at the same BLAS thread count write the same bytes (the
+    # summary up to its wall time). Across thread counts trace.csv's fit_term and
+    # RE can differ in the last digits: a threaded dot product sums in another order
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 400, "seed": 0}))
+    assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
+    src = str(Path(mrtucker.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+               MKL_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    runs = [tmp_path / name for name in ("r1", "r2")]
+    for out in runs:
+        subprocess.run([sys.executable, "-m", "mrtucker.cli", "decompose",
+                        str(tmp_path / "data" / "manifest.csv"), "--deterministic",
+                        "--out", str(out)], env=env, check=True, capture_output=True)
+    for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]:
+        assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes(), fname
+    summaries = [json.loads((out / "summary.json").read_text()) for out in runs]
+    for summary in summaries:
+        summary.pop("wall_seconds")
+    assert summaries[0] == summaries[1]
 
 
 def test_decompose_summary_config_and_no_seed(synth_dir, tmp_path, capsys):

@@ -262,7 +262,7 @@ def test_trace_csv_columns_follow_iteration_record(tmp_path):
     # IterationRecord in declaration order, as repr() of a float
     values = [3, 1.5, 0.25, 1e-300, 0.0, -2.0, 1 / 3, 0.5, 7.0]
     trace = SolverTrace()
-    trace.append(IterationRecord(*values))
+    trace.records.append(IterationRecord(*values))
     factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
     save_run(tmp_path, SolveResult(factors, np.ones((1, 1, 1, 1)), trace, "max_iter", 1), {})
     assert (tmp_path / "trace.csv").read_text() == (

@@ -39,6 +39,7 @@ def test_select_ranks_constructed_spectrum():
     policy = RankPolicy(sigmas=(0.8, 0.8, 0.8), fixed_r3_to_n=False)
     spectrum = mode_energy_spectrum(x, 0)
     np.testing.assert_allclose(spectrum, [5.0, 3.0, 1.0, 1.0], rtol=1e-12)
+    assert np.array_equal(mode_energy_spectrum(x.tolist(), 0), spectrum)   # any array-like
     assert select_ranks(x, policy) == (2, 2, 2)
 
 

@@ -192,7 +192,7 @@ def test_factor_cross_product_matches_phi_route():
 def test_factor_cross_product_peak_memory_below_half_a_projection():
     # B contracts the C-order projection and cores with no copy of either: on
     # M=300 samples of 48x48x8 at ranks (6, 6, 4), a projection of up to ~3 slabs
-    # of ~1 MB, the traced peak stays below half the projection in every mode
+    # of ~1 MB, the traced peak stays below 0.3 of the projection in every mode
     rng = np.random.default_rng(0)
     x = rng.standard_normal((300, 48, 48, 8))
     factors = random_factors(rng, x.shape[1:], (6, 6, 4))
@@ -207,7 +207,7 @@ def test_factor_cross_product_peak_memory_below_half_a_projection():
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.5 * y.nbytes, (n, peak / y.nbytes)
+        assert peak < 0.3 * y.nbytes, (n, peak / y.nbytes)
 
 
 # ------------------------------------------------------ shared projections
@@ -518,6 +518,10 @@ def test_solve_input_validation():
         SolverConfig(zeta=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # beta = inf would give tau = inf / inf; gamma = inf is the no-l1 limit
+    with pytest.raises(ValueError, match="beta finite"):
+        SolverConfig(beta=np.inf)
+    SolverConfig(gamma=np.inf)
 
 
 @pytest.mark.parametrize("fault, bad", [("nan", [3]), ("inf", [3]),

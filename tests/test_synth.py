@@ -1,6 +1,8 @@
 """Synthetic generator, the independent HOOI oracle, and the evaluation
 metrics (neighbor preservation, nearest-centroid accuracy)."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -10,13 +12,14 @@ from mrtucker import (
     SynthSpec,
     evaluate,
     generate,
-    hooi_oracle,
     nearest_centroid,
     neighbor_preservation,
     solve,
 )
 from mrtucker.solver import reconstruct
 from mrtucker.tensor import unfold
+
+from hooi import hooi_oracle
 
 
 def test_generate_noiseless_multilinear_rank_bound():
@@ -210,7 +213,7 @@ def test_evaluate_report_fields():
     x, truth = generate(SynthSpec(seed=2))
     report = evaluate(x, truth.cores, truth.factors, labels=truth.labels, k=4,
                       wall_ms=[1.0, 2.0, 3.0])
-    d = report.as_dict()
+    d = dataclasses.asdict(report)
     assert 0.0 <= d["reconstruction_re"] <= 0.1       # noise-level misfit only
     assert 0.0 <= d["core_sparsity"] <= 1.0
     assert 0.0 <= d["neighbor_preservation"] <= 1.0
