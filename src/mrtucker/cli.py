@@ -13,8 +13,6 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 from . import io
 from .graph import DEFAULT_DELTA, build_graph, save_edge_list
 from .ranks import DEFAULT_SIGMAS, RankPolicy, select_ranks
@@ -118,7 +116,7 @@ def cmd_graph(args) -> int:
     strategy, delta = args.weights
     g = build_graph(samples, k=args.k, strategy=strategy, delta=delta)
     save_edge_list(g, args.out)
-    print(f"wrote {args.out}: {int(np.count_nonzero(g.w) // 2)} edges over {g.m} samples")
+    print(f"wrote {args.out}: {len(g.adjacency()[1][0])} edges over {g.m} samples")
     return 0
 
 
@@ -130,8 +128,8 @@ def cmd_decompose(args) -> int:
     g = build_graph(samples, k=args.k, strategy=strategy, delta=delta)
     config = SolverConfig(gamma=args.gamma, beta=args.beta, zeta=args.zeta,
                           max_iter=args.max_iter)
-    limiter = (_thread_limit(1, "--deterministic") if args.deterministic
-               else _thread_limit(args.threads, "--threads"))
+    cap, flag = (1, "--deterministic") if args.deterministic else (args.threads, "--threads")
+    limiter = _thread_limit(cap, flag)
     t0 = time.perf_counter()
     try:
         result = solve(samples, g, ranks, config)
@@ -153,7 +151,7 @@ def cmd_decompose(args) -> int:
         "ranks": list(ranks),
         "sigma": list(args.sigma),
         "free_r3": bool(args.free_r3),
-        "threads": args.threads,
+        "threads": cap if limiter is not None else None,    # the BLAS cap applied
         "samples": {"count": int(samples.shape[0]), "shape": list(samples.shape[1:])},
         "iterations": result.n_iter,
         "stop_reason": result.stop_reason,

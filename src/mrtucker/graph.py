@@ -22,23 +22,40 @@ DEFAULT_DELTA = 5000.0
 
 @dataclass
 class WeightGraph:
-    w: np.ndarray          # (M, M) symmetric, nonnegative, zero diagonal
+    """The symmetric, nonnegative weight matrix W by its nonzeros, row-major:
+    w_ij = vals[e] at (i, j) = (rows[e], cols[e]); no diagonal entry, no stored zero."""
+    m: int
+    rows: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
     k: int
     strategy: str
     delta: float | None = None
 
     @property
-    def m(self) -> int:
-        return self.w.shape[0]
+    def w(self) -> np.ndarray:
+        """W as a dense (M, M) array, formed anew on each access."""
+        w = np.zeros((self.m, self.m))
+        w[self.rows, self.cols] = self.vals
+        return w
 
     def row_sums(self) -> np.ndarray:
-        """s_i = sum_{j != i} w_ij (diagonal is zero by construction)."""
-        return self.w.sum(axis=1)
+        """s_i = sum_{j != i} w_ij, summed over row i's nonzeros."""
+        return np.bincount(self.rows, self.vals, minlength=self.m)
+
+    def adjacency(self):
+        """Per-row (neighbour indices, weights), and the i < j edges as arrays
+        (i, j, w_ij) in row-major order."""
+        cuts = np.searchsorted(self.rows, np.arange(1, self.m))
+        upper = self.rows < self.cols
+        return (list(zip(np.split(self.cols, cuts), np.split(self.vals, cuts))),
+                (self.rows[upper], self.cols[upper], self.vals[upper]))
 
 
 def zero_graph(m: int) -> WeightGraph:
     """The empty graph (no manifold coupling)."""
-    return WeightGraph(w=np.zeros((m, m)), k=0, strategy="none")
+    none = np.empty(0, dtype=np.intp)
+    return WeightGraph(m=m, rows=none, cols=none, vals=np.empty(0), k=0, strategy="none")
 
 
 def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
@@ -74,13 +91,15 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     # k nearest neighbors of each sample, self excluded, ties by lower index
     np.fill_diagonal(d2, np.inf)
     connected = _knn_mask(d2, k)
-    np.fill_diagonal(d2, 0.0)
     connected |= connected.T
+    np.fill_diagonal(connected, False)   # an all-inf row can tie with itself
+    rows, cols = divmod(np.flatnonzero(connected), m)
+    del connected
 
     if strategy == "binary":
-        w = connected.astype(np.float64)
+        vals = np.ones(rows.size)
     elif strategy == "heat_kernel":
-        w = np.exp(np.divide(d2, -delta, out=d2), out=d2)     # exp(-d2 / delta)
+        vals = np.exp(d2[rows, cols] / -delta)
     else:
         del d2                           # not read by cosine weights: frees M x M doubles
         # exact power-of-two row scaling: tiny entries' squares do not underflow
@@ -88,16 +107,13 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
         norms = np.linalg.norm(flat, axis=1)
         if not norms.all():
             raise ValueError("cosine weights undefined for a zero-norm sample")
-        w = flat @ flat.T
-        w /= np.outer(norms, norms)
-        # exact symmetry; the sum with 0.0 also turns a -0.0 Gram entry into 0.0
-        w = np.triu(w, 1)
-        w += w.T
-        np.clip(w, 0.0, 1.0, out=w)                         # drop negative similarities
-    w *= connected                       # w is finite: zero off the k-NN pattern, no mask copy
-    np.fill_diagonal(w, 0.0)
-    return WeightGraph(w=w, k=k, strategy=strategy,
-                       delta=delta if strategy == "heat_kernel" else None)
+        # read from the Gram's upper triangle: exactly symmetric
+        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
+        vals = (flat @ flat.T)[lo, hi] / (norms[lo] * norms[hi])
+        np.clip(vals, 0.0, 1.0, out=vals)                   # drop negative similarities
+    keep = vals > 0.0                    # heat underflow, clipped cosines
+    return WeightGraph(m=m, rows=rows[keep], cols=cols[keep], vals=vals[keep], k=k,
+                       strategy=strategy, delta=delta if strategy == "heat_kernel" else None)
 
 
 def _knn_mask(d2: np.ndarray, k: int) -> np.ndarray:
@@ -121,20 +137,9 @@ def _knn_mask(d2: np.ndarray, k: int) -> np.ndarray:
     return mask
 
 
-def _adjacency(w: np.ndarray):
-    """Nonzero pattern of w: per-row (neighbour indices, weights), and the
-    i < j edges as arrays (i, j, w_ij) in row-major order."""
-    rows, cols = np.nonzero(w)
-    vals = w[rows, cols]
-    cuts = np.searchsorted(rows, np.arange(1, w.shape[0]))
-    upper = rows < cols
-    return (list(zip(np.split(cols, cuts), np.split(vals, cuts))),
-            (rows[upper], cols[upper], vals[upper]))
-
-
 def save_edge_list(g: WeightGraph, path) -> None:
     """Write nonzero edges as CSV rows i,j,w_ij with i < j."""
-    i, j, w = _adjacency(g.w)[1]
+    i, j, w = g.adjacency()[1]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "w"])

@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graph import WeightGraph, _adjacency, zero_graph
+from .graph import WeightGraph, zero_graph
 from .linalg import qf, thin_svd
 from .tensor import L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product, multi_mode_product
 
@@ -115,7 +115,7 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
               config: SolverConfig) -> tuple[float, float, float, float]:
     """(total, l1_term, fit_term, manifold_term) of the objective."""
     samples, cores = _check_shapes(samples, cores, factors)
-    edges = _adjacency((graph or zero_graph(samples.shape[0])).w)[1]
+    edges = (graph or zero_graph(samples.shape[0])).adjacency()[1]
     return _terms(cores, _fit(samples, cores, factors), edges, config)
 
 
@@ -217,10 +217,9 @@ def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
     current values)."""
     samples, cores = _check_shapes(samples, cores, factors)
     d_i = multi_mode_product(samples[i], factors, transpose=True)
-    w_row = (graph or zero_graph(samples.shape[0])).w[i]
-    idx = np.flatnonzero(w_row)
+    graph = graph or zero_graph(samples.shape[0])
     return _core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
-                      (idx, w_row[idx]), *_prox_coefs(float(w_row.sum()), config),
+                      graph.adjacency()[0][i], *_prox_coefs(graph.row_sums()[i], config),
                       np.empty(d_i.size)).reshape(d_i.shape)
 
 
@@ -275,7 +274,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     factors, cores = init_state(samples, ranks)
     mats = list(factors)                 # updated in place, one mode at a time
     flat = cores.reshape(m, -1)          # a view: the core sweep writes through it
-    neighbours, edges = _adjacency(graph.w)
+    neighbours, edges = graph.adjacency()
     row_sums = graph.row_sums()
     den, tau = _prox_coefs(row_sums, config)
     decrease_coef = 0.5 + row_sums / config.beta
@@ -349,7 +348,7 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
 
     m = samples.shape[0]
     flat = cores.reshape(m, -1)
-    neighbours, _ = _adjacency(graph.w)
+    neighbours, _ = graph.adjacency()
     den, tau = _prox_coefs(graph.row_sums(), config)
     bd = _factor_phase(samples, list(factors), factor_block)
     bd *= config.beta

@@ -242,6 +242,8 @@ def test_decompose_thread_limit_wraps_solve(synth_dir, tmp_path, fake_threadpool
     assert code == 0 and err == ""
     expected = [("limit", limit), ("solve",), ("unregister",)] if limit else [("solve",)]
     assert fake_threadpoolctl == expected
+    # the summary records the cap applied, not the --threads value
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["threads"] == limit
 
 
 @pytest.mark.parametrize("flags", [["--deterministic"], ["--threads", "3"]])
@@ -251,6 +253,7 @@ def test_thread_limit_warning_names_the_flag(synth_dir, tmp_path, monkeypatch, f
                             *flags, "--out", str(tmp_path / "run")], capsys)
     assert code == 0
     assert err == f"warning: threadpoolctl not installed, {flags[0]} ignored\n"
+    assert json.loads((tmp_path / "run" / "summary.json").read_text())["threads"] is None
 
 
 def test_usage_error_exit_code_2(capsys):

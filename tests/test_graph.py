@@ -12,8 +12,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrtucker import WeightGraph, build_graph, graph, zero_graph
+from mrtucker import build_graph, graph, zero_graph
 from mrtucker.graph import DEFAULT_DELTA, save_edge_list
+
+from graphs import from_dense
 
 
 def scalar_samples(values):
@@ -72,9 +74,9 @@ def test_heat_kernel_monotone_in_distance():
     rng = np.random.default_rng(1)
     samples = rng.standard_normal((8, 2, 2, 2))
     g = build_graph(samples, k=7, strategy="heat_kernel", delta=10.0)
-    flat = samples.reshape(8, -1)
+    flat, w = samples.reshape(8, -1), g.w
     pairs = [(i, j) for i in range(8) for j in range(i + 1, 8)]
-    data = [(np.linalg.norm(flat[i] - flat[j]), g.w[i, j]) for i, j in pairs]
+    data = [(np.linalg.norm(flat[i] - flat[j]), w[i, j]) for i, j in pairs]
     data.sort()
     weights = [w for _, w in data]
     assert all(a >= b - 1e-12 for a, b in zip(weights, weights[1:]))
@@ -113,13 +115,27 @@ def test_invariants_all_strategies():
     for strategy in ("binary", "heat_kernel", "cosine"):
         for k in (1, 4, 9):
             g = build_graph(samples, k=k, strategy=strategy, delta=100.0)
-            assert_array_equal(g.w, g.w.T)          # exact symmetry
-            assert np.all(np.diag(g.w) == 0.0)
-            assert np.all(g.w >= 0.0)
+            w = g.w
+            assert_array_equal(w, w.T)              # exact symmetry
+            assert np.all(np.diag(w) == 0.0)
+            assert np.all(w >= 0.0)
             if strategy == "binary":
-                assert set(np.unique(g.w)) <= {0.0, 1.0}
-                nnz = np.count_nonzero(g.w, axis=1)
+                assert set(np.unique(w)) <= {0.0, 1.0}
+                nnz = np.count_nonzero(w, axis=1)
                 assert np.all((k <= nnz) & (nnz <= 9))
+            # storage: row-major nonzeros, no diagonal entry, no stored zero,
+            # every (i, j) mirrored by (j, i) with a bitwise-equal weight
+            assert g.m == 10 and g.rows.shape == g.cols.shape == g.vals.shape
+            assert np.all(np.diff(g.rows) >= 0)
+            assert np.all(np.diff(g.cols)[np.diff(g.rows) == 0] > 0)
+            assert np.all(g.rows != g.cols) and np.all(g.vals != 0.0)
+            mirror = np.lexsort((g.rows, g.cols))   # the (j, i) entries in row-major order
+            assert_array_equal(g.rows[mirror], g.cols)
+            assert_array_equal(g.cols[mirror], g.rows)
+            assert g.vals[mirror].tobytes() == g.vals.tobytes()
+            again = from_dense(w, g.k, g.strategy, g.delta)     # g.w round-trips
+            for field in ("rows", "cols", "vals"):
+                assert getattr(again, field).tobytes() == getattr(g, field).tobytes()
 
 
 @given(st.data(), st.sampled_from(["binary", "heat_kernel", "cosine"]))
@@ -260,7 +276,7 @@ def test_row_sums_ring_hand_count():
     ring = np.zeros((4, 4))
     for i in range(4):
         ring[i, (i + 1) % 4] = ring[(i + 1) % 4, i] = 1.0
-    g = WeightGraph(w=ring, k=1, strategy="binary")
+    g = from_dense(ring)
     assert_array_equal(g.row_sums(), 2.0 * np.ones(4))
 
 
@@ -299,9 +315,10 @@ def test_edge_list_matches_pair_loop_bytes(tmp_path):
     with open(oracle, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "w"])
+        w = g.w
         for i in range(g.m):
             for j in range(i + 1, g.m):
-                if g.w[i, j] != 0.0:
-                    writer.writerow([i, j, repr(float(g.w[i, j]))])
+                if w[i, j] != 0.0:
+                    writer.writerow([i, j, repr(float(w[i, j]))])
     assert path.read_bytes() == oracle.read_bytes()
-    assert len(path.read_text().splitlines()) == 1 + np.count_nonzero(g.w) // 2
+    assert len(path.read_text().splitlines()) == 1 + np.count_nonzero(w) // 2

@@ -32,8 +32,10 @@ from mrtucker import (
     update_core,
     update_factor,
 )
-from mrtucker.graph import _adjacency, zero_graph
+from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
+
+from graphs import from_dense
 
 
 def random_factors(rng, shape, ranks):
@@ -81,7 +83,7 @@ def test_objective_identical_cores_no_manifold_term():
     rng = np.random.default_rng(2)
     x, cores, factors = make_instance(rng, m=2)
     cores[1] = cores[0]
-    g = WeightGraph(w=np.array([[0.0, 3.0], [3.0, 0.0]]), k=1, strategy="binary")
+    g = from_dense([[0.0, 3.0], [3.0, 0.0]])
     *_, manifold = objective(x, cores, factors, g, SolverConfig())
     assert manifold == 0.0
 
@@ -93,8 +95,9 @@ def test_objective_matches_bruteforce_sum():
     g = build_graph(x, k=2, strategy="heat_kernel", delta=50.0)
     config = SolverConfig(gamma=7.0, beta=0.3)
     total, l1, fit, manifold = objective(x, cores, factors, g, config)
+    w = g.w
     expected_manifold = sum(
-        g.w[i, j] * np.linalg.norm(cores[i] - cores[j]) ** 2
+        w[i, j] * np.linalg.norm(cores[i] - cores[j]) ** 2
         for i in range(4) for j in range(i + 1, 4)
     ) / config.beta
     assert_allclose(manifold, expected_manifold, rtol=1e-12)
@@ -111,14 +114,15 @@ def test_manifold_term_matches_pair_loop(strategy):
     config = SolverConfig(beta=0.3)
     *_, manifold = objective(x, cores, factors, g, config)
     flat = cores.reshape(400, -1)
+    w = g.w
     expected = 0.0
     for i in range(400):
         for j in range(i + 1, 400):
-            if g.w[i, j] != 0.0:
+            if w[i, j] != 0.0:
                 d = flat[i] - flat[j]
-                expected += float(g.w[i, j]) * float(np.dot(d, d))
+                expected += float(w[i, j]) * float(np.dot(d, d))
     expected /= config.beta
-    assert len(_adjacency(g.w)[1][2]) * flat.shape[1] > 2 ** 17
+    assert len(g.adjacency()[1][2]) * flat.shape[1] > 2 ** 17
     assert abs(manifold - expected) <= 1e-12 * expected
 
 
@@ -230,7 +234,7 @@ def test_solve_sweep_matches_replay_from_raw_stack(ranks):
         mats[n] = update_factor(x, cores, mats, n)
     d = sv.multi_mode_product(x, mats, modes=(1, 2, 3), transpose=True).reshape(len(x), -1)
     flat = cores.reshape(len(x), -1)
-    neighbours, _ = _adjacency(g.w)
+    neighbours, _ = g.adjacency()
     den, tau = sv._prox_coefs(g.row_sums(), config)
     for i in range(len(x)):
         sv._core_prox(config.beta * d[i], flat, neighbours[i], den[i], tau[i], flat[i])
@@ -316,8 +320,9 @@ def test_update_core_beats_bruteforce_grid():
     out = update_core(x, cores, factors, g, config, i)
     grid = np.arange(-10.0, 10.0 + 1e-9, 1e-4)
     flat_cores = cores.reshape(4, -1)
+    w = g.w
     for pos in rng.choice(d.size, size=12, replace=False):
-        neighbors = [(g.w[i, j], flat_cores[j, pos]) for j in range(4) if g.w[i, j] != 0.0]
+        neighbors = [(w[i, j], flat_cores[j, pos]) for j in range(4) if w[i, j] != 0.0]
         f = lambda t: scalar_core_objective(t, d.ravel()[pos], neighbors,
                                             config.beta, config.gamma)
         closed = out.ravel()[pos]
@@ -336,7 +341,7 @@ def test_core_target_matches_dense_row_product():
     d = sv.multi_mode_product(x, factors.as_list(), modes=(1, 2, 3), transpose=True)
     flat = cores.reshape(7, -1)
     for graph_w in (w, zero_graph(7).w):
-        neighbours, _ = _adjacency(graph_w)
+        neighbours, _ = from_dense(graph_w).adjacency()
         den, tau = sv._prox_coefs(graph_w.sum(axis=1), config)
         for i in range(7):
             s_i = graph_w[i].sum()
@@ -389,8 +394,9 @@ def test_core_residual_is_distance_to_update_core():
     rng = np.random.default_rng(33)
     x, cores, factors = make_instance(rng, m=7, noise=0.2)
     cores = cores + 0.5 * rng.standard_normal(cores.shape)
-    g = build_graph(x, k=2, strategy="heat_kernel", delta=30.0)
-    g.w[3, :] = g.w[:, 3] = 0.0
+    w = build_graph(x, k=2, strategy="heat_kernel", delta=30.0).w
+    w[3, :] = w[:, 3] = 0.0
+    g = from_dense(w, k=2, strategy="heat_kernel", delta=30.0)
     config = SolverConfig(gamma=2.0, beta=0.4)
     _, cr = stationarity_residual(x, cores, factors, g, config)
     assert cr.min() > 1e-3
@@ -412,8 +418,7 @@ def test_update_core_gauss_seidel_uses_current_values():
     # moving a neighbor core moves the update (the 2*sum(w G) term is live)
     rng = np.random.default_rng(12)
     x, cores, factors = make_instance(rng, m=2)
-    w = np.array([[0.0, 1.0], [1.0, 0.0]])
-    g = WeightGraph(w=w, k=1, strategy="binary")
+    g = from_dense([[0.0, 1.0], [1.0, 0.0]])
     config = SolverConfig(gamma=10.0, beta=0.5)
     out1 = update_core(x, cores, factors, g, config, 0)
     shifted = cores.copy()
@@ -765,3 +770,52 @@ def test_solve_peak_memory_below_two_stacks():
     finally:
         tracemalloc.stop()
     assert peak < 2 * x.nbytes, peak / x.nbytes
+
+
+# ------------------------------------------------------------- weight graph
+
+def test_graph_free_solve_forms_no_m_by_m_array():
+    # without a graph, zero_graph and a solve plus its residual each trace less
+    # than one M x M double array, at M=2000 samples of 2x2x2
+    m = 2000
+    x = np.random.default_rng(35).standard_normal((m, 2, 2, 2))
+    config = SolverConfig(max_iter=2)
+    tracemalloc.start()
+    try:
+        zero_graph(m)
+        peaks = [tracemalloc.get_traced_memory()[1]]
+        tracemalloc.reset_peak()
+        res = solve(x, None, (1, 2, 2), config)
+        stationarity_residual(x, res.cores, res.factors, None, config)
+        peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 8 * m * m, [p / (8 * m * m) for p in peaks]
+
+
+class EdgesOnlyGraph(WeightGraph):
+    """A weight graph whose dense W cannot be read."""
+
+    @property
+    def w(self):
+        raise AssertionError("dense W read")
+
+
+def test_graph_consumers_read_only_the_edge_list(tmp_path):
+    # a graph whose dense W raises passes through every consumer of a graph,
+    # with the results of the graph build_graph made
+    x, _ = generate(SynthSpec(m=30, seed=5))
+    g = build_graph(x, k=4, strategy="heat_kernel", delta=50.0)
+    h = EdgesOnlyGraph(g.m, g.rows, g.cols, g.vals, g.k, g.strategy, g.delta)
+    config = SolverConfig(max_iter=3)
+    res = solve(x, h, (5, 5, 6), config)
+    assert_array_equal(res.cores, solve(x, g, (5, 5, 6), config).cores)
+    args = (x, res.cores, res.factors)
+    for a, b in zip(stationarity_residual(*args, h, config),
+                    stationarity_residual(*args, g, config)):
+        assert_array_equal(a, b)
+    assert objective(*args, h, config) == objective(*args, g, config)
+    assert_array_equal(update_core(*args, h, config, 7), update_core(*args, g, config, 7))
+    save_edge_list(h, tmp_path / "h.csv")
+    save_edge_list(g, tmp_path / "g.csv")
+    assert (tmp_path / "h.csv").read_bytes() == (tmp_path / "g.csv").read_bytes()
