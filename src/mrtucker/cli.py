@@ -116,7 +116,7 @@ def cmd_graph(args) -> int:
     strategy, delta = args.weights
     g = build_graph(samples, k=args.k, strategy=strategy, delta=delta)
     save_edge_list(g, args.out)
-    print(f"wrote {args.out}: {len(g.adjacency()[1][0])} edges over {g.m} samples")
+    print(f"wrote {args.out}: {len(g.edges()[0])} edges over {g.m} samples")
     return 0
 
 

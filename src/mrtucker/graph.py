@@ -43,13 +43,10 @@ class WeightGraph:
         """s_i = sum_{j != i} w_ij, summed over row i's nonzeros."""
         return np.bincount(self.rows, self.vals, minlength=self.m)
 
-    def adjacency(self):
-        """Per-row (neighbour indices, weights), and the i < j edges as arrays
-        (i, j, w_ij) in row-major order."""
-        cuts = np.searchsorted(self.rows, np.arange(1, self.m))
+    def edges(self):
+        """The i < j edges as arrays (i, j, w_ij), in row-major order."""
         upper = self.rows < self.cols
-        return (list(zip(np.split(self.cols, cuts), np.split(self.vals, cuts))),
-                (self.rows[upper], self.cols[upper], self.vals[upper]))
+        return self.rows[upper], self.cols[upper], self.vals[upper]
 
 
 def zero_graph(m: int) -> WeightGraph:
@@ -82,11 +79,14 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     sq = np.einsum("ij,ij->i", flat, flat)
     d2 = flat @ flat.T
     d2 *= -2.0
-    with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
-        d2 += np.add.outer(sq, sq)       # the bits of (sq_i + sq_j) - 2 <x_i, x_j>
-    np.maximum(d2, 0.0, out=d2)
-    # mirror the upper triangle so distances are exactly symmetric
-    np.copyto(d2, d2.T, where=np.tri(m, k=-1, dtype=bool))
+    for r in range(0, m, step := _row_block(m)):     # row blocks: no M x M temporary
+        end = min(r + step, m)
+        with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
+            d2[r:end] += sq[r:end, None] + sq    # the bits of (sq_i + sq_j) - 2 <x_i, x_j>
+        np.maximum(d2[r:end], 0.0, out=d2[r:end])
+        # mirror the upper triangle so distances are exactly symmetric
+        np.copyto(d2[r:end, :end], d2[:end, r:end].T,
+                  where=np.tri(end - r, end, r - 1, dtype=bool))
 
     # k nearest neighbors of each sample, self excluded, ties by lower index
     np.fill_diagonal(d2, np.inf)
@@ -116,16 +116,17 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
                        strategy=strategy, delta=delta if strategy == "heat_kernel" else None)
 
 
+def _row_block(m: int) -> int:
+    """Rows per block of an (M, M) array: M/8, between ~128 KB (or all of it) and ~1 MB."""
+    return max(min(m, _CHUNK_FLOATS // (8 * m)), min(m // 8, _CHUNK_FLOATS // m), 1)
+
+
 def _knn_mask(d2: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k smallest entries of d2 as a boolean mask, ties at the k-th
-    smallest value taken in index order: the first k of a stable argsort. Rows
-    are partitioned in blocks of M/8 rows, kept between ~128 KB (or all of d2)
-    and ~1 MB: a block's copy stays small beside a large d2, and a small d2 is
-    one block."""
+    """Each row's k smallest entries of d2 as a boolean mask, ties at the k-th smallest
+    value taken in index order (a stable argsort's first k), a row block at a time."""
     m = d2.shape[0]
-    step = max(min(m, _CHUNK_FLOATS // (8 * m)), min(m // 8, _CHUNK_FLOATS // m), 1)
     mask = np.empty(d2.shape, dtype=bool)
-    for r in range(0, m, step):
+    for r in range(0, m, step := _row_block(m)):
         block, out = d2[r:r + step], mask[r:r + step]
         kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
         np.less_equal(block, kth, out=out)
@@ -139,7 +140,7 @@ def _knn_mask(d2: np.ndarray, k: int) -> np.ndarray:
 
 def save_edge_list(g: WeightGraph, path) -> None:
     """Write nonzero edges as CSV rows i,j,w_ij with i < j."""
-    i, j, w = g.adjacency()[1]
+    i, j, w = g.edges()
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["i", "j", "w"])

@@ -115,7 +115,7 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
               config: SolverConfig) -> tuple[float, float, float, float]:
     """(total, l1_term, fit_term, manifold_term) of the objective."""
     samples, cores = _check_shapes(samples, cores, factors)
-    edges = (graph or zero_graph(samples.shape[0])).adjacency()[1]
+    edges = (graph or zero_graph(samples.shape[0])).edges()
     return _terms(cores, _fit(samples, cores, factors), edges, config)
 
 
@@ -197,14 +197,15 @@ def _prox_coefs(row_sums, config: SolverConfig):
     return config.beta + 2.0 * row_sums, core_threshold(row_sums, config)
 
 
-def _core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out) -> np.ndarray:
+def _core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out=None) -> np.ndarray:
     """Closed-form minimiser of core i's subproblem (cores j != i fixed), flat, into out:
     the prox centre alpha^(i) = (beta D^(i) + 2 sum_j w_ij G^(j)) / (beta + 2 s_i),
     summed over the row's (neighbour indices, weights), soft-thresholded at tau^(i).
     bd_i = beta D^(i); den_i and tau_i come from _prox_coefs. out may be core i's own
-    row, which is never its own neighbour."""
+    row, which is never its own neighbour. r rows of one degree d take bd_i (r, 1, P),
+    indices (r, d), weights (r, 1, d), den_i and tau_i (r, 1, 1): bitwise r row calls."""
     idx, wts = neighbours
-    np.matmul(wts, flat_cores[idx], out=out)
+    out = np.matmul(wts, flat_cores[idx], out=out)
     out *= 2.0
     out += bd_i
     out /= den_i
@@ -218,9 +219,69 @@ def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
     samples, cores = _check_shapes(samples, cores, factors)
     d_i = multi_mode_product(samples[i], factors, transpose=True)
     graph = graph or zero_graph(samples.shape[0])
+    lo, hi = np.searchsorted(graph.rows, [i, i + 1])
     return _core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
-                      graph.adjacency()[0][i], *_prox_coefs(graph.row_sums()[i], config),
-                      np.empty(d_i.size)).reshape(d_i.shape)
+                      (graph.cols[lo:hi], graph.vals[lo:hi]),
+                      *_prox_coefs(graph.row_sums()[i], config)).reshape(d_i.shape)
+
+
+def _levels(graph: WeightGraph) -> np.ndarray:
+    """Each row's wavefront level (Anderson & Saad 1989): 1 + the highest level of its
+    neighbours j < i, or 0. Per 64-row block, edges from before it at once, then its own."""
+    low = graph.cols < graph.rows
+    rows, cols = graph.rows[low], graph.cols[low]
+    level = np.zeros(graph.m, dtype=np.intp)
+    cuts = np.searchsorted(rows, np.arange(0, graph.m + 64, 64)).tolist()
+    for r, e0, e1 in zip(range(0, graph.m, 64), cuts, cuts[1:]):
+        i, j = rows[e0:e1], cols[e0:e1]
+        back = j < r
+        np.maximum.at(level, i[back], level[j[back]] + 1)
+        block = level[r:r + 64].tolist()
+        for a, b in zip((i[~back] - r).tolist(), (j[~back] - r).tolist()):
+            if block[b] >= block[a]:
+                block[a] = block[b] + 1
+        level[r:r + 64] = block
+    return level
+
+
+def _core_groups(graph: WeightGraph, level, config: SolverConfig, width: int) -> list:
+    """Runs of rows of one level (level=0: all at 0) and one degree, in (level, degree)
+    order and ~1 MB gathers of width-double cores: (i, neighbours, den_i, tau_i) for a lone
+    row i, else (rows, ...) in _core_prox's group shapes. A level's rows share no edge, and
+    neighbours j < i (j > i) sit lower (higher), so this order reads what row order reads."""
+    deg = np.bincount(graph.rows, minlength=graph.m)
+    key = level * (deg.max(initial=0) + 1) + deg
+    order = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1)).tolist()
+    # the edges row by row in that order, so each group's are one contiguous run
+    n = deg[order]
+    off = np.cumsum(n) - n
+    e = np.repeat(np.cumsum(deg)[order] - n - off, n) + np.arange(len(graph.rows))
+    cols, vals, off = graph.cols[e], graph.vals[e], off.tolist() + [len(e)]
+    den, tau = _prox_coefs(graph.row_sums()[order], config)
+    lone = order.tolist(), den.tolist(), tau.tolist()   # Python scalars: fastest to build
+    groups = []
+    for a, b in zip(bounds, bounds[1:]):
+        if b - a == 1:                   # a lone row: the 1-D row call
+            e = slice(off[a], off[b])
+            groups.append((lone[0][a], (cols[e], vals[e]), lone[1][a], lone[2][a]))
+            continue
+        d = (off[b] - off[a]) // (b - a)
+        for s in _chunks(b - a, max(d, 1) * width):
+            r = slice(a + s.start, min(a + s.stop, b))
+            e, k = slice(off[r.start], off[r.stop]), r.stop - r.start
+            groups.append((order[r], (cols[e].reshape(k, d), vals[e].reshape(k, 1, d)),
+                           den[r, None, None], tau[r, None, None]))
+    return groups
+
+
+def _core_sweep(groups, bd, src, dst) -> None:
+    """Core updates over _core_groups' groups, from src into dst (dst = src: Gauss-Seidel)."""
+    for rows, neighbours, den, tau in groups:
+        if isinstance(rows, int):
+            _core_prox(bd[rows], src, neighbours, den, tau, dst[rows])
+        else:
+            dst[rows] = _core_prox(bd[rows, None], src, neighbours, den, tau)[:, 0]
 
 
 def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
@@ -269,15 +330,13 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     config = config or SolverConfig()
     graph = graph or zero_graph(samples.shape[0])
 
-    m = samples.shape[0]
     norm_x = _stack_norm(samples)       # before init_state's Gram matrices
     factors, cores = init_state(samples, ranks)
     mats = list(factors)                 # updated in place, one mode at a time
-    flat = cores.reshape(m, -1)          # a view: the core sweep writes through it
-    neighbours, edges = graph.adjacency()
-    row_sums = graph.row_sums()
-    den, tau = _prox_coefs(row_sums, config)
-    decrease_coef = 0.5 + row_sums / config.beta
+    flat = cores.reshape(len(cores), -1)     # a view: the core sweep writes through it
+    edges = graph.edges()
+    groups = _core_groups(graph, _levels(graph), config, flat.shape[1])
+    decrease_coef = 0.5 + graph.row_sums() / config.beta
 
     prev_total, *_ = _terms(cores, _fit(samples, cores, mats), edges, config)
     if not np.isfinite(prev_total):
@@ -294,9 +353,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         d_all = _factor_phase(samples, mats,
                               lambda n, y: update_factor(samples, cores, mats, n, y))
         old_flat = flat.copy()
-        bd = config.beta * d_all
-        for i in range(m):       # Gauss-Seidel: sequential by construction
-            _core_prox(bd[i], flat, neighbours[i], den[i], tau[i], flat[i])
+        _core_sweep(groups, config.beta * d_all, flat, flat)
 
         fit = _fit_from_d(norm_x ** 2, d_all, flat) if d_form else _fit(samples, cores, mats)
         total, l1, fit, manifold = _terms(cores, fit, edges, config)
@@ -346,13 +403,9 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
         factor_res[n] = float(np.linalg.norm(grad - u @ (0.5 * (utg + utg.T))))
         return u
 
-    m = samples.shape[0]
-    flat = cores.reshape(m, -1)
-    neighbours, _ = graph.adjacency()
-    den, tau = _prox_coefs(graph.row_sums(), config)
+    flat = cores.reshape(len(cores), -1)
     bd = _factor_phase(samples, list(factors), factor_block)
     bd *= config.beta
     fixed = np.empty_like(flat)
-    for i in range(m):
-        _core_prox(bd[i], flat, neighbours[i], den[i], tau[i], fixed[i])
+    _core_sweep(_core_groups(graph, 0, config, flat.shape[1]), bd, flat, fixed)
     return factor_res, np.linalg.norm(np.subtract(flat, fixed, out=fixed), axis=1)

@@ -120,8 +120,10 @@ def test_decompose_deterministic_byte_identical(synth_dir, tmp_path, capsys):
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_decompose_deterministic_byte_identical_at_fixed_blas_threads(tmp_path, threads):
     # two child processes at the same BLAS thread count write the same bytes (the
-    # summary up to its wall time). Across thread counts trace.csv's fit_term and
-    # RE can differ in the last digits: a threaded dot product sums in another order
+    # summary up to its wall time), on the default graph and on k=48 heat-kernel
+    # weights, whose core sweep batches rows of non-unit weights. Across thread
+    # counts trace.csv's fit_term and RE can differ in the last digits: a threaded
+    # dot product sums in another order
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"m": 400, "seed": 0}))
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
@@ -129,17 +131,18 @@ def test_decompose_deterministic_byte_identical_at_fixed_blas_threads(tmp_path, 
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                MKL_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    runs = [tmp_path / name for name in ("r1", "r2")]
-    for out in runs:
-        subprocess.run([sys.executable, "-m", "mrtucker.cli", "decompose",
-                        str(tmp_path / "data" / "manifest.csv"), "--deterministic",
-                        "--out", str(out)], env=env, check=True, capture_output=True)
-    for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]:
-        assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes(), fname
-    summaries = [json.loads((out / "summary.json").read_text()) for out in runs]
-    for summary in summaries:
-        summary.pop("wall_seconds")
-    assert summaries[0] == summaries[1]
+    for graph in ([], ["--k", "48", "--weights", "heat:5000"]):
+        runs = [tmp_path / f"{name}{len(graph)}" for name in ("r1", "r2")]
+        for out in runs:
+            subprocess.run([sys.executable, "-m", "mrtucker.cli", "decompose",
+                            str(tmp_path / "data" / "manifest.csv"), *graph, "--deterministic",
+                            "--out", str(out)], env=env, check=True, capture_output=True)
+        for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]:
+            assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes(), fname
+        summaries = [json.loads((out / "summary.json").read_text()) for out in runs]
+        for summary in summaries:
+            summary.pop("wall_seconds")
+        assert summaries[0] == summaries[1]
 
 
 def test_decompose_summary_config_and_no_seed(synth_dir, tmp_path, capsys):

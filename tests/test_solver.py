@@ -36,6 +36,7 @@ from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
 from graphs import from_dense
+from sweep import sequential_core_sweep
 
 
 def random_factors(rng, shape, ranks):
@@ -122,7 +123,7 @@ def test_manifold_term_matches_pair_loop(strategy):
                 d = flat[i] - flat[j]
                 expected += float(w[i, j]) * float(np.dot(d, d))
     expected /= config.beta
-    assert len(g.adjacency()[1][2]) * flat.shape[1] > 2 ** 17
+    assert len(g.edges()[2]) * flat.shape[1] > 2 ** 17
     assert abs(manifold - expected) <= 1e-12 * expected
 
 
@@ -234,10 +235,7 @@ def test_solve_sweep_matches_replay_from_raw_stack(ranks):
         mats[n] = update_factor(x, cores, mats, n)
     d = sv.multi_mode_product(x, mats, modes=(1, 2, 3), transpose=True).reshape(len(x), -1)
     flat = cores.reshape(len(x), -1)
-    neighbours, _ = g.adjacency()
-    den, tau = sv._prox_coefs(g.row_sums(), config)
-    for i in range(len(x)):
-        sv._core_prox(config.beta * d[i], flat, neighbours[i], den[i], tau[i], flat[i])
+    sequential_core_sweep(g, config.beta * d, flat, flat, config)
     res = solve(x, g, ranks, config)
     assert res.n_iter == 1
     for got, want in zip(res.factors, mats):
@@ -341,18 +339,17 @@ def test_core_target_matches_dense_row_product():
     d = sv.multi_mode_product(x, factors.as_list(), modes=(1, 2, 3), transpose=True)
     flat = cores.reshape(7, -1)
     for graph_w in (w, zero_graph(7).w):
-        neighbours, _ = from_dense(graph_w).adjacency()
-        den, tau = sv._prox_coefs(graph_w.sum(axis=1), config)
+        g = from_dense(graph_w)
+        got = np.empty_like(flat)
+        sequential_core_sweep(g, config.beta * d.reshape(7, -1), flat, got, config)
         for i in range(7):
             s_i = graph_w[i].sum()
             dense = (config.beta * d[i] + 2.0 * np.tensordot(graph_w[i], cores, axes=(0, 0))
                      ) / (config.beta + 2.0 * s_i)
             dense = soft_threshold(dense, core_threshold(s_i, config))
-            got = np.empty(flat.shape[1])
-            sv._core_prox(config.beta * d[i].ravel(), flat, neighbours[i], den[i], tau[i], got)
-            assert_allclose(got, dense.ravel(), rtol=1e-12, atol=1e-12 * np.abs(dense).max())
+            assert_allclose(got[i], dense.ravel(), rtol=1e-12, atol=1e-12 * np.abs(dense).max())
             if not graph_w[i].any():
-                assert len(neighbours[i][0]) == 0
+                assert i not in g.rows
 
 
 @st.composite
@@ -425,6 +422,105 @@ def test_update_core_gauss_seidel_uses_current_values():
     shifted[1] += 1.0
     out2 = update_core(x, shifted, factors, g, config, 0)
     assert np.linalg.norm(out1 - out2) > 1e-6
+
+
+# ------------------------------------------------------------ grouped sweep
+
+@st.composite
+def sweep_cases(draw):
+    """(graph, beta D, flat cores, config) on 1-12 samples with cores of 1-5 entries:
+    the empty graph, the path 0-1-...-M-1, a star, the complete graph, or heat-like
+    weights on a random pattern, with or without isolated rows."""
+    m, p = draw(st.integers(1, 12)), draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["empty", "path", "star", "complete", "isolated", "heat"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = np.zeros((m, m))
+    if kind == "path":
+        w[np.arange(m - 1), np.arange(1, m)] = 1.0
+    elif kind == "star":
+        c = rng.integers(m)
+        w[c] = w[:, c] = 1.0
+    elif kind == "complete":
+        w[:] = 1.0
+    elif kind != "empty":
+        pts = rng.standard_normal((m, 2))
+        w = np.exp(-np.square(pts[:, None] - pts).sum(axis=2)) * (rng.random((m, m)) < 0.5)
+    w = np.triu(w, 1)
+    w += w.T
+    if kind == "isolated":
+        lone = rng.random(m) < 0.3
+        w[lone] = w[:, lone] = 0.0
+    config = SolverConfig(gamma=draw(st.floats(1e-2, 1e4)), beta=draw(st.floats(1e-6, 10.0)))
+    return (from_dense(w), rng.standard_normal((m, p)), rng.standard_normal((m, p)),
+            config)
+
+
+@given(sweep_cases())
+def test_grouped_sweep_is_the_sequential_sweep(case):
+    # the level schedule covers each row once, one degree per group, and puts
+    # every edge's lower end in an earlier group (so no edge inside a group);
+    # its Gauss-Seidel sweep, and the residual's all-level-0 map, are bitwise
+    # those of the sequential per-row sweep
+    g, bd, flat, config = case
+    groups = sv._core_groups(g, sv._levels(g), config, flat.shape[1])
+    group_of = np.full(g.m, -1)
+    deg = np.bincount(g.rows, minlength=g.m)
+    for n, (rows, (idx, _), _, _) in enumerate(groups):
+        assert np.all(group_of[rows] == -1)
+        group_of[rows] = n
+        assert np.all(deg[rows] == idx.shape[-1])
+    assert np.all(group_of >= 0)
+    i, j, _ = g.edges()
+    assert np.all(group_of[i] < group_of[j])
+    got, want = flat.copy(), flat.copy()
+    sv._core_sweep(groups, bd, got, got)
+    sequential_core_sweep(g, bd, want, want, config)
+    assert got.tobytes() == want.tobytes()
+    level0 = sv._core_groups(g, 0, config, flat.shape[1])
+    got, want = np.empty_like(flat), np.empty_like(flat)
+    sv._core_sweep(level0, bd, flat, got)
+    sequential_core_sweep(g, bd, flat, want, config)
+    assert got.tobytes() == want.tobytes()
+
+
+def test_zero_graph_sweep_is_one_batched_group_of_degree_0():
+    # every row in one group whose batched product of empty rows gives the row
+    # path's zeros: the sweep is bitwise the sequential one
+    rng = np.random.default_rng(37)
+    g, config = zero_graph(5), SolverConfig(beta=0.5)
+    bd, flat = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
+    (group,) = sv._core_groups(g, sv._levels(g), config, 3)
+    assert_array_equal(group[0], np.arange(5))
+    want = flat.copy()
+    sv._core_sweep([group], bd, flat, flat)
+    sequential_core_sweep(g, bd, want, want, config)
+    assert flat.tobytes() == want.tobytes()
+
+
+def test_residual_gathers_neighbours_in_slabs():
+    # on a 4-regular ring of M=4000 samples every row has degree 4: the residual's
+    # one degree group gathers its (M, 4, P) neighbour cores ~1 MB at a time, so
+    # the traced peak stays below the stack plus 3 M x P arrays (7.2 gathered
+    # whole), and its core residuals are bitwise the sequential sweep's
+    m = 4000
+    rng = np.random.default_rng(36)
+    x, cores, factors = make_instance(rng, m=m, shape=(4, 4, 3), ranks=(4, 4, 3), noise=0.1)
+    cols = np.sort((np.arange(m)[:, None] + [-2, -1, 1, 2]) % m, axis=1).ravel()
+    g = WeightGraph(m=m, rows=np.repeat(np.arange(m), 4), cols=cols, vals=np.ones(4 * m),
+                    k=2, strategy="binary")
+    config = SolverConfig(beta=0.5)
+    tracemalloc.start()
+    try:
+        _, core_res = stationarity_residual(x, cores, factors, g, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < x.nbytes + 3 * cores.nbytes, (peak - x.nbytes) / cores.nbytes
+    flat = cores.reshape(m, -1)
+    d = sv.multi_mode_product(x, factors, modes=(1, 2, 3), transpose=True).reshape(m, -1)
+    fixed = np.empty_like(flat)
+    sequential_core_sweep(g, config.beta * d, flat, fixed, config)
+    assert core_res.tobytes() == np.linalg.norm(flat - fixed, axis=1).tobytes()
 
 
 # -------------------------------------------------------------------- solve
