@@ -23,7 +23,8 @@ DEFAULT_DELTA = 5000.0
 @dataclass
 class WeightGraph:
     """The symmetric, nonnegative weight matrix W by its nonzeros, row-major:
-    w_ij = vals[e] at (i, j) = (rows[e], cols[e]); no diagonal entry, no stored zero."""
+    w_ij = vals[e] at (i, j) = (rows[e], cols[e]); no diagonal entry, no stored zero.
+    Construction checks all of that but the symmetry, in O(nnz)."""
     m: int
     rows: np.ndarray
     cols: np.ndarray
@@ -31,6 +32,19 @@ class WeightGraph:
     k: int
     strategy: str
     delta: float | None = None
+
+    def __post_init__(self):
+        rows, cols, vals = self.rows, self.cols, self.vals
+        if not len(rows) == len(cols) == len(vals):
+            raise ValueError(f"edge arrays differ in length: {len(rows)}, {len(cols)}, {len(vals)}")
+        if not np.all((0 <= rows) & (rows < self.m) & (0 <= cols) & (cols < self.m)):
+            raise ValueError(f"edge index outside [0, {self.m})")
+        if np.any(np.diff(rows * self.m + cols) <= 0):     # the sweep reads rows as sorted runs
+            raise ValueError("edges not in strictly increasing row-major (row, col) order")
+        if np.any(rows == cols):
+            raise ValueError("diagonal entry in the edge list")
+        if not np.all((vals > 0) & (vals < np.inf)):
+            raise ValueError("edge weights must be finite and positive")
 
     @property
     def w(self) -> np.ndarray:

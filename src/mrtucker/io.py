@@ -39,15 +39,22 @@ def write_tensor(path, t: np.ndarray) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<II", VERSION, t.ndim))
         fh.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        fh.write(np.asfortranarray(t).tobytes(order="F"))
+        fh.write(np.asfortranarray(t).T)    # C-contiguous, so its buffer is written as is
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a DTEN file. The file size is checked against the header before
-    the payload is read, so a corrupt header cannot cause a huge allocation."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(12)
+    """Read a DTEN file into an owned, writable, C-contiguous array."""
+    return _read_dten(path).copy()
+
+
+def _read_dten(path) -> np.ndarray:
+    """A DTEN file's tensor as a read-only Fortran-order view of its payload bytes, read
+    unbuffered. The file size is checked against the header before the payload is
+    read, so a corrupt header cannot cause a huge allocation."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        size = os.fstat(fd).st_size
+        head = os.read(fd, 12)
         if head[:4] != MAGIC or len(head) < 12:
             raise ValueError(f"{path}: bad magic {head[:4]!r} or truncated header")
         version, order = struct.unpack("<II", head[4:])
@@ -55,15 +62,23 @@ def read_tensor(path) -> np.ndarray:
             raise ValueError(f"{path}: unsupported format version {version}")
         if not 1 <= order <= (size - 12) // 8:
             raise ValueError(f"{path}: invalid order {order} for a {size}-byte file")
-        shape = struct.unpack(f"<{order}Q", fh.read(8 * order))
+        shape = struct.unpack(f"<{order}Q", os.read(fd, 8 * order))
         if any(s < 1 for s in shape):
             raise ValueError(f"{path}: invalid extents {shape}")
         count, have = math.prod(shape), size - 12 - 8 * order
         if have != 8 * count:
             raise ValueError(f"{path}: {'truncated' if have < 8 * count else 'trailing bytes in'}"
                              f" payload ({have} bytes, expected {8 * count})")
-        flat = np.frombuffer(fh.read(8 * count), dtype="<f8", count=count)
-        return np.reshape(flat, shape, order="F").copy()
+        parts, left = [], 8 * count
+        while left and (part := os.read(fd, left)):     # one read stops short of 2 GiB
+            parts.append(part)
+            left -= len(part)
+    finally:
+        os.close(fd)
+    if left:
+        raise ValueError(f"{path}: truncated payload ({8 * count - left} bytes read, "
+                         f"expected {8 * count})")
+    return np.frombuffer(b"".join(parts), dtype="<f8").reshape(shape, order="F")
 
 
 def write_manifest(path, rows) -> None:
@@ -80,8 +95,7 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
     Paths are resolved relative to the manifest's directory. All tensors must
     share one shape.
     """
-    manifest_path = Path(manifest_path)
-    base = manifest_path.parent
+    base = os.path.dirname(manifest_path)
     rows = []
     with open(manifest_path, newline="") as fh:
         reader = csv.reader(fh)
@@ -97,7 +111,7 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
 
     stack = None        # filled in place: no per-file list, no np.stack copy
     for n, (lineno, rel, _) in enumerate(rows):
-        t = read_tensor(base / rel)
+        t = _read_dten(os.path.join(base, rel))
         if stack is None:
             stack = np.empty((len(rows),) + t.shape)
         elif t.shape != stack.shape[1:]:
@@ -105,7 +119,8 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
                 f"{manifest_path}: row {lineno} ({rel}) has shape {t.shape}, "
                 f"expected {stack.shape[1:]}"
             )
-        stack[n] = t
+        stack[n] = t            # the file's one copy: its F-order payload into C order
+        del t                   # freed before the next file is read
     labels = [label for _, _, label in rows]
     label_list = None if all(l is None for l in labels) else [l or "" for l in labels]
     return stack, label_list

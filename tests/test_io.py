@@ -1,8 +1,11 @@
 """On-disk tensor format, manifest loading, and run-directory round trips."""
 
 import json
+import os
+import re
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -175,6 +178,89 @@ def test_load_samples_empty_manifest(tmp_path):
     (tmp_path / "manifest.csv").write_text("\n\n")
     with pytest.raises(ValueError, match="empty"):
         load_samples(tmp_path / "manifest.csv")
+
+
+# -0.0, the smallest subnormals, NaNs (one with a payload) and infinities, among any floats
+SPECIAL = st.sampled_from([-0.0, 5e-324, -2.2e-308, float("nan"), -float("inf"),
+                           float(np.uint64(0x7FF0_0000_0000_0123).view(np.float64))])
+
+
+@given(st.data())
+def test_load_samples_is_the_stack_of_read_tensor(tmp_path_factory, data):
+    # order-3 tensors of one random shape, rows relative to the manifest or
+    # absolute: the stack is bitwise read_tensor's, stacked
+    shape = tuple(data.draw(st.lists(st.integers(1, 4), min_size=3, max_size=3)))
+    m = data.draw(st.integers(1, 5))
+    here, there = tmp_path_factory.mktemp("manifest"), tmp_path_factory.mktemp("elsewhere")
+    (here / "sub").mkdir()
+    rows, paths = [], []
+    for i in range(m):
+        t = data.draw(arrays(shape, elements=st.one_of(SPECIAL, st.floats(width=64))))
+        absolute = data.draw(st.booleans())
+        path = there / f"s{i}.dten" if absolute else here / "sub" / f"s{i}.dten"
+        write_tensor(path, t)
+        rows.append((str(path) if absolute else f"sub/s{i}.dten", None))
+        paths.append(path)
+    write_manifest(here / "manifest.csv", rows)
+    got, _ = load_samples(here / "manifest.csv")
+    singles = [read_tensor(p) for p in paths]
+    for t in singles:
+        assert t.flags.owndata and t.flags.writeable and t.flags.c_contiguous
+    want = np.stack(singles)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def test_load_samples_holds_the_stack_and_one_payload(tmp_path):
+    # 200 files of 64 KB: the traced peak stays below the stack plus one
+    # sample plus 64 KB, so no file's payload is copied twice or outlives its row
+    rng = np.random.default_rng(3)
+    rows = []
+    for i in range(200):
+        write_tensor(tmp_path / f"s{i:03d}.dten", rng.standard_normal((32, 32, 8)))
+        rows.append((f"s{i:03d}.dten", f"c{i % 3}"))
+    write_manifest(tmp_path / "manifest.csv", rows)
+    tracemalloc.start()
+    try:
+        samples, _ = load_samples(tmp_path / "manifest.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    sample = samples[0].nbytes
+    assert peak < samples.nbytes + sample + 2 ** 16, (peak - samples.nbytes) / sample
+
+
+def test_read_tensor_short_payload_read_names_the_path(tmp_path):
+    # a payload read that comes back short (the file shrank after its size was
+    # checked) is a truncated payload, not a wrong-sized array
+    path = tmp_path / "t.dten"
+    write_tensor(path, np.ones((4, 4, 4)))
+    real = os.read
+
+    def short(fd, n):
+        return real(fd, n)[:-8] if n == 8 * 64 else real(fd, n)
+
+    with mock.patch("os.read", short):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated payload")):
+            read_tensor(path)
+
+
+def test_read_tensor_assembles_a_payload_read_in_parts(tmp_path):
+    # read() may return less than asked (Linux stops one read short of 2 GiB):
+    # the payload is read on until it is complete
+    t = np.random.default_rng(4).standard_normal((5, 4, 3))
+    path = tmp_path / "t.dten"
+    write_tensor(path, t)
+    real, sizes = os.read, []
+
+    def capped(fd, n):
+        sizes.append(n)
+        return real(fd, min(n, 40))
+
+    with mock.patch("os.read", capped):
+        back = read_tensor(path)
+    assert len(sizes) > 3
+    assert back.tobytes() == t.tobytes()
 
 
 def test_run_directory_roundtrip(tmp_path):
