@@ -119,20 +119,15 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
     return _terms(cores, _fit(samples, cores, factors), edges, config)
 
 
-def _sq_dist(cores, mats, b) -> float:
-    """sum_s ||cores[s] x_1 M_1 x_2 M_2 x_3 M_3 - b(s)||_F^2 over ~1 MB slices s of the
-    stack: the reconstruction is formed one slice at a time, never stack-sized."""
-    total = 0.0
-    for s in _chunks(len(cores), math.prod(u.shape[0] for u in mats)):
-        d = reconstruct(cores[s], mats)
-        d -= b(s)
-        total += float(np.vdot(d, d))
-    return total
-
-
 def _fit(samples, cores, factors) -> float:
-    """(1/2) ||X - G x_1 U_1 x_2 U_2 x_3 U_3||_F^2, without a stack-sized array."""
-    return 0.5 * _sq_dist(cores, factors, samples.__getitem__)
+    """(1/2) ||X - G x_1 U_1 x_2 U_2 x_3 U_3||_F^2 over ~1 MB slices of the stack: the
+    reconstruction is formed one slice at a time, never stack-sized."""
+    total = 0.0
+    for s in _chunks(len(cores), math.prod(samples.shape[1:])):
+        d = reconstruct(cores[s], factors)
+        d -= samples[s]
+        total += float(np.vdot(d, d))
+    return 0.5 * total
 
 
 def _fit_from_d(sq_norm_x: float, d_all, flat) -> float:
@@ -155,14 +150,19 @@ def _terms(cores, fit: float, edges, config: SolverConfig):
 
 
 def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np.ndarray:
-    """B = sum_i Y^(i)_(n) G^(i)_(n)^T, Y^(i) = X^(i) times the other two factors
-    transposed: the data is projected down to core size first (HOOI order)."""
-    other = [k for k in range(3) if k != n]
+    """B = sum_i Y^(i)_(n) C^(i)_(n)^T, Y^(i) = X^(i) times the other factors of modes 1-2
+    transposed. Mode 3 takes C = G; modes 1 and 2 take C = G x_3 U_3, formed ~1 MB of Y
+    at a time: U_3 goes on the core side, the smaller one (the ordering principle of
+    ST-HOSVD, Vannieuwenhoven, Vandebril & Meerbergen 2012)."""
+    other = [k for k in range(2) if k != n]
     # non-finite data is reported once, below, instead of as matmul warnings
     with np.errstate(invalid="ignore", over="ignore"):
         y = projected if projected is not None else multi_mode_product(
             samples, [factors[k] for k in other], modes=[k + 1 for k in other], transpose=True)
-        b = _mode_gram(y, n + 1, cores)
+        b = _mode_gram(y, 3, cores) if n == 2 else sum(
+            (_mode_gram(y[s], n + 1, mode_product(cores[s], factors[2], 3))
+             for s in _chunks(len(y), math.prod(y.shape[1:]))),
+            np.zeros((y.shape[n + 1], cores.shape[n + 1])))
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
     return b
@@ -170,18 +170,19 @@ def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np
 
 def update_factor(samples, cores, factors: FactorSet, n: int, projected=None) -> np.ndarray:
     """Closed-form Stiefel update for mode n: qf of the cross-product matrix.
-    projected: the samples times the other two factors transposed, if already formed."""
+    projected: the samples times the other factors of modes 1-2 transposed (for mode 3,
+    X x_1 U_1^T x_2 U_2^T), if already formed."""
     return qf(_factor_cross_product(samples, cores, factors, n, projected))
 
 
 def _factor_phase(samples, mats: list, factor_block) -> np.ndarray:
     """The factor blocks and D in two passes over the stack X. mats[n] = factor_block(n, Y)
-    for modes n = 0, 1, 2, Y being X times the other two factors transposed: None for mode
-    0 (the block forms it), Z_1 x_3 U_3^T for mode 1 and Z_12 = Z_1 x_2 U_2^T for mode 2,
-    with Z_1 = X x_1 U_1^T. Returns D = Z_12 x_3 U_3^T, one flat row per sample."""
+    for modes n = 0, 1, 2, Y being _factor_cross_product's projection: None for mode 0
+    (the block forms X x_2 U_2^T), Z_1 = X x_1 U_1^T for mode 1 and Z_12 = Z_1 x_2 U_2^T
+    for mode 2. Returns D = Z_12 x_3 U_3^T, one flat row per sample."""
     mats[0] = factor_block(0, None)
     z = mode_product(samples, mats[0].T, 1)
-    mats[1] = factor_block(1, mode_product(z, mats[2].T, 3))
+    mats[1] = factor_block(1, z)
     z = mode_product(z, mats[1].T, 2)
     mats[2] = factor_block(2, z)
     return mode_product(z, mats[2].T, 3).reshape(samples.shape[0], -1)
@@ -307,14 +308,20 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
 def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> float:
     """||X_hat - X_hat_prev||_F / norm_x of the reconstructions of two (cores, factors)
     states, norm_x = ||X||_F. Exact in each mode's joint span: [U_n, U_n_prev] = Q_n R_n
-    and the orthonormal Q_n leave the norm, so R_n's two column blocks replace the
-    factors (rows min(2 R_n, I_n)); a mode with 2 R_n >= I_n keeps its factors."""
+    and the orthonormal Q_n leave the norm, so R_n's column blocks [R_11; 0] and R_12
+    replace the factors. The new state's core-sized reconstruction is subtracted from the
+    leading block of the old one's, formed ~1 MB of the joint span at a time."""
     if not norm_x:
         return 0.0
-    new, old = zip(*[np.hsplit(np.linalg.qr(np.hstack([u, v]), mode="r"), [u.shape[1]])
-                     if 2 * u.shape[1] < u.shape[0] else (u, v)
-                     for u, v in zip(factors, prev_factors)])
-    sq = _sq_dist(cores, new, lambda s: reconstruct(prev_cores[s], old))
+    rs = [np.linalg.qr(np.hstack([u, v]), mode="r") for u, v in zip(factors, prev_factors)]
+    new = [r[:u.shape[1], :u.shape[1]] for r, u in zip(rs, factors)]
+    old = [r[:, u.shape[1]:] for r, u in zip(rs, factors)]
+    lead = (slice(None),) + tuple(slice(u.shape[1]) for u in factors)
+    sq = 0.0
+    for s in _chunks(len(cores), math.prod(r.shape[0] for r in rs)):
+        d = reconstruct(prev_cores[s], old)
+        d[lead] -= reconstruct(cores[s], new)
+        sq += float(np.vdot(d, d))
     return float(np.sqrt(sq) / norm_x)
 
 
@@ -338,12 +345,14 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     groups = _core_groups(graph, _levels(graph), config, flat.shape[1])
     decrease_coef = 0.5 + graph.row_sums() / config.beta
 
-    prev_total, *_ = _terms(cores, _fit(samples, cores, mats), edges, config)
+    # D = G at the start. The fit from D rounds to ~8 eps ||X||^2: used only where that is
+    # below 1e-15 of the objective's scale, not on noiseless data (L ~ 0)
+    prev_total, *_ = _terms(cores, _fit_from_d(norm_x ** 2, flat, flat), edges, config)
+    d_form = 8 * np.finfo(float).eps * norm_x ** 2 <= 1e-15 * max(1.0, prev_total)
+    if not d_form:
+        prev_total, *_ = _terms(cores, _fit(samples, cores, mats), edges, config)
     if not np.isfinite(prev_total):
         raise FloatingPointError("non-finite initial objective")
-    # the fit from D rounds to ~8 eps ||X||^2: used only where that is below
-    # 1e-15 of the objective's scale, not on noiseless data (L ~ 0)
-    d_form = 8 * np.finfo(float).eps * norm_x ** 2 <= 1e-15 * max(1.0, prev_total)
 
     trace = SolverTrace()
     stop_reason = "max_iter"

@@ -93,8 +93,8 @@ def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndar
     stack-sized copy of C-contiguous stacks. b defaults to a, the mode Gram. The
     last mode is one GEMM on the C-order (rest, I_n) views; other modes add up
     ~1 MB slabs of samples, per-sample products batched for mode 1 and the slab's
-    axis moved to the front for the rest (both stacks take the same column order,
-    so the product does not change); the Gram reuses the moved slab."""
+    axis moved last for the rest (both stacks take the same row order, so the
+    product does not change); the Gram reuses the moved slab."""
     b = a if b is None else b
     if not 1 <= mode < a.ndim:
         raise ValueError(f"mode {mode} is not a sample mode of an order-{a.ndim} stack")
@@ -117,9 +117,9 @@ def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndar
             yb = ya if b is a else sb.reshape(sb.shape[0], j_n, rest)
             out += (ya @ yb.transpose(0, 2, 1)).sum(axis=0)
         else:
-            ya = np.moveaxis(sa, mode, 0).reshape(i_n, sa.shape[0] * rest)
-            yb = ya if b is a else np.moveaxis(sb, mode, 0).reshape(j_n, sb.shape[0] * rest)
-            out += ya @ yb.T
+            ya = np.moveaxis(sa, mode, -1).reshape(sa.shape[0] * rest, i_n)
+            yb = ya if b is a else np.moveaxis(sb, mode, -1).reshape(sb.shape[0] * rest, j_n)
+            out += ya.T @ yb
         del ya, yb     # a slab's views and copies go before the next slab's are made
     return out
 
