@@ -14,7 +14,6 @@ from .solver import (
     soft_threshold,
     solve,
     stationarity_residual,
-    update_core,
     update_factor,
 )
 from .synth import (
@@ -25,7 +24,7 @@ from .synth import (
     nearest_centroid,
     neighbor_preservation,
 )
-from .tensor import fold, mode_product, multi_mode_product, unfold
+from .tensor import mode_product, multi_mode_product, unfold
 
 __all__ = [
     "WeightGraph", "build_graph", "zero_graph",
@@ -33,10 +32,10 @@ __all__ = [
     "RankPolicy", "select_ranks",
     "FactorSet", "SolveResult", "SolverConfig", "SolverTrace",
     "objective", "relative_error", "soft_threshold", "solve",
-    "stationarity_residual", "update_core", "update_factor",
+    "stationarity_residual", "update_factor",
     "EvalReport", "SynthSpec", "evaluate", "generate",
     "nearest_centroid", "neighbor_preservation",
-    "fold", "mode_product", "multi_mode_product", "unfold",
+    "mode_product", "multi_mode_product", "unfold",
 ]
 
 __version__ = "0.1.0"

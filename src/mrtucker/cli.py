@@ -64,15 +64,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_dec = sub.add_parser("decompose", help="run the solver and write the run directory")
     p_dec.add_argument("manifest")
-    p_dec.add_argument("--gamma", type=float, default=1e4)
-    p_dec.add_argument("--beta", type=float, default=1e-6)
+    p_dec.add_argument("--gamma", type=float, default=SolverConfig.gamma)
+    p_dec.add_argument("--beta", type=float, default=SolverConfig.beta)
     p_dec.add_argument("--k", type=int, default=4)
     p_dec.add_argument("--weights", type=_parse_weights, default=("binary", DEFAULT_DELTA),
                        metavar="binary|heat:DELTA|cosine")
     p_dec.add_argument("--sigma", type=_parse_sigma, default=DEFAULT_SIGMAS, metavar="A,B,C")
     p_dec.add_argument("--free-r3", action="store_true")
-    p_dec.add_argument("--zeta", type=float, default=1e-4)
-    p_dec.add_argument("--max-iter", type=int, default=500)
+    p_dec.add_argument("--zeta", type=float, default=SolverConfig.zeta)
+    p_dec.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_dec.add_argument("--deterministic", action="store_true")
     p_dec.add_argument("--threads", type=int, default=None,
                        help="cap BLAS threads for the solve (requires threadpoolctl)")

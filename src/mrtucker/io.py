@@ -168,6 +168,9 @@ def load_run(run_dir) -> tuple[FactorSet, np.ndarray, dict, list[dict]]:
     if cores.shape[1:] != ranks:         # also rejects every order but 4
         raise ValueError(f"{run / 'cores.dten'}: core stack of shape {cores.shape}, "
                          f"expected order 4 with extents (M,) + {ranks}")
+    names = ("u1.dten", "u2.dten", "u3.dten", "cores.dten")
+    if bad := [name for name, t in zip(names, (*factors, cores)) if not np.isfinite(t).all()]:
+        raise ValueError(f"{run}: non-finite entries (NaN or inf) in {', '.join(bad)}")
     with open(run / "summary.json") as fh:
         summary = json.load(fh)
     trace_rows = []

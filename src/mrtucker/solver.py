@@ -213,19 +213,6 @@ def _core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out=None) -> np.ndarr
     return soft_threshold(out, tau_i, out=out)
 
 
-def update_core(samples, cores, factors: FactorSet, graph: WeightGraph | None,
-                config: SolverConfig, i: int) -> np.ndarray:
-    """Closed-form Gauss-Seidel update of core i (cores j != i held at their
-    current values)."""
-    samples, cores = _check_shapes(samples, cores, factors)
-    d_i = multi_mode_product(samples[i], factors, transpose=True)
-    graph = graph or zero_graph(samples.shape[0])
-    lo, hi = np.searchsorted(graph.rows, [i, i + 1])
-    return _core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
-                      (graph.cols[lo:hi], graph.vals[lo:hi]),
-                      *_prox_coefs(graph.row_sums()[i], config)).reshape(d_i.shape)
-
-
 def _levels(graph: WeightGraph) -> np.ndarray:
     """Each row's wavefront level (Anderson & Saad 1989): 1 + the highest level of its
     neighbours j < i, or 0. Per 64-row block, edges from before it at once, then its own."""

@@ -9,7 +9,7 @@ import numpy as np
 
 from .linalg import qf
 from .solver import FactorSet, _check_shapes, _fit, reconstruct
-from .tensor import L0_TOL
+from .tensor import L0_TOL, _stack_norm
 
 
 @dataclass
@@ -147,7 +147,7 @@ class EvalReport:
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4,
              wall_ms=None) -> EvalReport:
     samples, cores = _check_shapes(samples, cores, factors)
-    denom = max(np.linalg.norm(samples.ravel()), np.finfo(float).tiny)
+    denom = max(_stack_norm(samples), np.finfo(float).tiny)     # names non-finite samples
     re = float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom)
     accuracy = None
     if labels is not None:

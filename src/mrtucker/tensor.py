@@ -1,5 +1,5 @@
-"""Dense tensor primitives: unfolding, folding, mode products and the mode Grams
-of a sample stack.
+"""Dense tensor primitives: unfolding, mode products and the mode Grams of a
+sample stack.
 
 Tensors are plain float64 numpy arrays. The flat-storage convention used by the
 on-disk format and by all unfoldings is first-index-fastest (Fortran order):
@@ -33,19 +33,6 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     _check_mode(t, mode)
     rest = math.prod(t.shape[:mode] + t.shape[mode + 1:])     # no -1: size-0 tensors work
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], rest), order="F")
-
-
-def fold(m: np.ndarray, mode: int, shape) -> np.ndarray:
-    """Inverse of :func:`unfold` for the given full tensor shape."""
-    shape = tuple(int(s) for s in shape)
-    if not 0 <= mode < len(shape):
-        raise ValueError(f"mode {mode} out of range for shape {shape}")
-    m = np.asarray(m, dtype=np.float64)
-    rest = shape[:mode] + shape[mode + 1:]
-    expected = (shape[mode], int(np.prod(rest, dtype=np.int64)))
-    if m.shape != expected:
-        raise ValueError(f"matrix shape {m.shape} does not match unfolding {expected} of {shape}")
-    return np.moveaxis(np.reshape(m, (shape[mode],) + rest, order="F"), 0, mode)
 
 
 def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:

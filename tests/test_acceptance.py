@@ -35,6 +35,7 @@ from mrtucker.ranks import rank_from_spectrum
 from mrtucker.solver import reconstruct
 
 from hooi import hooi_oracle
+from sweep import update_core
 
 DEFAULT_RANKS = (5, 5, 6)
 
@@ -92,7 +93,7 @@ def test_criterion_03_orthogonality_every_iteration():
             for n in range(3):
                 factors = factors._replace(**{f"u{n + 1}": sv.update_factor(x, cores, factors, n)})
             for i in range(x.shape[0]):
-                cores[i] = sv.update_core(x, cores, factors, graph, config, i)
+                cores[i] = update_core(x, cores, factors, graph, config, i)
             defect = factors.orthogonality_defect()
             worst = max(worst, defect)
             assert defect <= 1e-10

@@ -1,6 +1,7 @@
 """CLI behaviour: subcommand outputs, artifact layout, exit codes, and the
 byte-identical determinism contract."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import mrtucker
-from mrtucker import cli
+from mrtucker import SolverConfig, cli
 from mrtucker.cli import main
 from mrtucker.io import read_tensor, write_tensor
 
@@ -77,7 +78,7 @@ def test_decompose_run_layout(synth_dir, tmp_path, capsys):
         ["cores.dten", "summary.json", "trace.csv", "u1.dten", "u2.dten", "u3.dten"]
     assert read_tensor(run / "cores.dten").shape[0] == 12
     summary = json.loads((run / "summary.json").read_text())
-    assert summary["config"]["gamma"] == 1e4
+    assert summary["config"] == dict(dataclasses.asdict(SolverConfig()), max_iter=40)
     assert summary["ranks"][2] == 4
     assert summary["stop_reason"] in ("converged", "max_iter")
     assert len(summary["stationarity"]["factor_residuals"]) == 3
@@ -194,20 +195,37 @@ def test_eval_rejects_manifest_that_does_not_match_run(synth_dir, tmp_path, caps
 @pytest.mark.filterwarnings("error")
 def test_non_finite_samples_exit_1(synth_dir, tmp_path, capsys):
     # NaN, inf and overflowing data end in one "error:" line naming the
-    # sample; warnings are errors here, so none may come first
+    # sample; warnings are errors here, so none may come first. eval reads
+    # a run made from the good samples
+    manifest = str(synth_dir / "manifest.csv")
+    assert run_cli(["decompose", manifest, "--max-iter", "5", "--out", str(tmp_path / "ok")],
+                   capsys)[0] == 0
     good = read_tensor(synth_dir / "sample_0005.dten")
     nan, inf = good.copy(), good.copy()
     nan[0, 0, 0], inf[0, 0, 0] = np.nan, np.inf
     for bad in (nan, inf, good * 1e200):
         write_tensor(synth_dir / "sample_0005.dten", bad)
-        for cmd in (["ranks", str(synth_dir / "manifest.csv")],
-                    ["graph", str(synth_dir / "manifest.csv"), "--k", "3",
-                     "--out", str(tmp_path / "edges.csv")],
-                    ["decompose", str(synth_dir / "manifest.csv"), "--out", str(tmp_path / "r")]):
+        for cmd in (["ranks", manifest],
+                    ["graph", manifest, "--k", "3", "--out", str(tmp_path / "edges.csv")],
+                    ["decompose", manifest, "--out", str(tmp_path / "r")],
+                    ["eval", "--run", str(tmp_path / "ok"), "--manifest", manifest]):
             code, _, err = run_cli(cmd, capsys)
             assert code == 1, cmd
             assert err.startswith("error: samples are not finite") and err.count("\n") == 1
             assert "at samples [5]" in err, err
+
+
+@pytest.mark.filterwarnings("error")
+def test_eval_non_finite_run_exit_1(synth_dir, tmp_path, capsys):
+    # an inf in the run's core stack ends eval in one "error:" line naming the file
+    manifest, run = str(synth_dir / "manifest.csv"), tmp_path / "run"
+    assert run_cli(["decompose", manifest, "--max-iter", "5", "--out", str(run)], capsys)[0] == 0
+    cores = read_tensor(run / "cores.dten")
+    cores[3, 0, 0, 0] = np.inf
+    write_tensor(run / "cores.dten", cores)
+    code, out, err = run_cli(["eval", "--run", str(run), "--manifest", manifest], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {run}: non-finite entries (NaN or inf) in cores.dten\n"
 
 
 @pytest.fixture()

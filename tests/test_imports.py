@@ -1,6 +1,6 @@
 """Every name a package module imports is used in it (the package's __init__
-uses its imports by listing them in __all__). Checked on the parsed source,
-with no linter needed."""
+uses its imports by listing them in __all__), and every name in __all__ is
+bound on the package. Checked on the parsed source, with no linter needed."""
 
 import ast
 from pathlib import Path
@@ -38,3 +38,9 @@ def test_unused_import_is_reported():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_uses_every_import(path):
     assert _unused_imports(path.read_text()) == [], path.name
+
+
+def test_all_names_are_bound():
+    # a name left in __all__ after its function is removed breaks
+    # "from mrtucker import *" and nothing else would notice
+    assert [name for name in mrtucker.__all__ if not hasattr(mrtucker, name)] == []

@@ -321,6 +321,25 @@ def test_load_run_checks_core_stack_shape(tmp_path):
         load_run(tmp_path)
 
 
+def test_load_run_rejects_non_finite_factors_and_cores(tmp_path):
+    # a NaN or inf in any factor or in the core stack is refused, naming the file
+    files = {"u1.dten": np.eye(3, 2), "u2.dten": np.eye(4, 2), "u3.dten": np.eye(2),
+              "cores.dten": np.ones((5, 2, 2, 2))}
+    for name, t in files.items():
+        write_tensor(tmp_path / name, t)
+    (tmp_path / "summary.json").write_text("{}")
+    (tmp_path / "trace.csv").write_text(TRACE_HEADER + "\n")
+    assert load_run(tmp_path)[1].shape == (5, 2, 2, 2)
+    for name, t in files.items():
+        for value in (np.nan, np.inf, -np.inf):
+            bad = t.copy()
+            bad.flat[-1] = value
+            write_tensor(tmp_path / name, bad)
+            with pytest.raises(ValueError, match=rf"non-finite entries \(NaN or inf\) in {name}$"):
+                load_run(tmp_path)
+        write_tensor(tmp_path / name, t)
+
+
 def test_load_run_rejects_old_per_core_layout(tmp_path):
     for n in (1, 2, 3):
         write_tensor(tmp_path / f"u{n}.dten", np.eye(2))

@@ -29,14 +29,13 @@ from mrtucker import (
     soft_threshold,
     solve,
     stationarity_residual,
-    update_core,
     update_factor,
 )
 from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
 from graphs import from_dense
-from sweep import sequential_core_sweep
+from sweep import sequential_core_sweep, update_core
 
 
 def random_factors(rng, shape, ranks):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrtucker import fold, mode_product, multi_mode_product, unfold
+from mrtucker import mode_product, multi_mode_product, unfold
 
 
 def layout_tensor(shape):
@@ -31,6 +31,20 @@ def unfold_bruteforce(t, mode):
             stride *= shape[k]
         out[idx[mode], col] = t[idx]
     return out
+
+
+def fold(m, mode, shape):
+    """Inverse of unfold for the given full tensor shape: the oracle unfold is
+    checked against, and the unfolding route the mode products are checked on."""
+    shape = tuple(int(s) for s in shape)
+    if not 0 <= mode < len(shape):
+        raise ValueError(f"mode {mode} out of range for shape {shape}")
+    m = np.asarray(m, dtype=np.float64)
+    rest = shape[:mode] + shape[mode + 1:]
+    expected = (shape[mode], int(np.prod(rest, dtype=np.int64)))
+    if m.shape != expected:
+        raise ValueError(f"matrix shape {m.shape} does not match unfolding {expected} of {shape}")
+    return np.moveaxis(np.reshape(m, (shape[mode],) + rest, order="F"), 0, mode)
 
 
 def test_unfold_2x2x2_mode1_hand_example():

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
-from mrtucker import fold, mode_product, multi_mode_product, tensor, unfold
-from test_tensor import mode_product_bruteforce
+from mrtucker import mode_product, multi_mode_product, tensor, unfold
+from test_tensor import fold, mode_product_bruteforce
 
 ENTRIES = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
 TOL = {"rtol": 1e-12, "atol": 1e-11}
