@@ -27,6 +27,8 @@ from .graph import WeightGraph, zero_graph
 from .linalg import qf, thin_svd
 from .tensor import L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product, multi_mode_product
 
+_EDGE_FLOATS = 2 ** 15     # edge differences per chunk: ~256 KB, so a chunk stays in cache
+
 
 @dataclass
 class SolverConfig:
@@ -139,13 +141,18 @@ def _fit_from_d(sq_norm_x: float, d_all, flat) -> float:
 
 def _terms(cores, fit: float, edges, config: SolverConfig):
     """objective() from the fit term and the i < j edge arrays (i, j, w).
-    The manifold term is summed over edges, ~1 MB at a time: the Laplacian form
-    s.||G||^2 - <G, WG> cancels to ~1e-10 relative, too coarse for descent checks."""
+    The manifold term is summed over edges, _EDGE_FLOATS of differences at a time, each
+    chunk one gather minus the other in place: the Laplacian form s.||G||^2 - <G, WG>
+    cancels to ~1e-10 relative, too coarse for descent checks."""
     l1 = float(np.abs(cores).sum()) / config.gamma
     flat = cores.reshape(cores.shape[0], -1)
     ei, ej, ew = edges
-    manifold = sum(float(ew[s] @ np.einsum("ep,ep->e", d := flat[ei[s]] - flat[ej[s]], d))
-                   for s in _chunks(len(ew), flat.shape[1])) / config.beta
+    manifold = 0.0
+    for s in _chunks(len(ew), flat.shape[1], _EDGE_FLOATS):
+        d = flat[ei[s]]
+        d -= flat[ej[s]]
+        manifold += float(ew[s] @ np.einsum("ep,ep->e", d, d))
+    manifold /= config.beta
     return l1 + fit + manifold, l1, fit, manifold
 
 
@@ -293,23 +300,22 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
 
 
 def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> float:
-    """||X_hat - X_hat_prev||_F / norm_x of the reconstructions of two (cores, factors)
-    states, norm_x = ||X||_F. Exact in each mode's joint span: [U_n, U_n_prev] = Q_n R_n
-    and the orthonormal Q_n leave the norm, so R_n's column blocks [R_11; 0] and R_12
-    replace the factors. The new state's core-sized reconstruction is subtracted from the
-    leading block of the old one's, formed ~1 MB of the joint span at a time."""
+    """||X_hat - X_hat_prev||_F / norm_x of two (cores, factors) states, norm_x = ||X||_F,
+    at core size and exact for orthonormal factors. For modes 3, 2, 1 from h = prev_cores,
+    V_n = U_n A_n + E_n (A_n = U_n^T V_n, E_n orthogonal to U_n): E_n's orthogonal part
+    adds <h, h x_n E_n^T E_n>, then h <- h x_n A_n. ||h - G||^2 is the rest."""
     if not norm_x:
         return 0.0
-    rs = [np.linalg.qr(np.hstack([u, v]), mode="r") for u, v in zip(factors, prev_factors)]
-    new = [r[:u.shape[1], :u.shape[1]] for r, u in zip(rs, factors)]
-    old = [r[:, u.shape[1]:] for r, u in zip(rs, factors)]
-    lead = (slice(None),) + tuple(slice(u.shape[1]) for u in factors)
-    sq = 0.0
-    for s in _chunks(len(cores), math.prod(r.shape[0] for r in rs)):
-        d = reconstruct(prev_cores[s], old)
-        d[lead] -= reconstruct(cores[s], new)
-        sq += float(np.vdot(d, d))
-    return float(np.sqrt(sq) / norm_x)
+    h, sq = prev_cores, 0.0
+    for u, v in zip(factors[::-1], prev_factors[::-1]):
+        a = u.T @ v
+        e = v - u @ a           # not I - A^T A, which cancels where the spans nearly agree
+        h = h.reshape(-1, v.shape[1])
+        sq += float(np.vdot(e.T @ e, h.T @ h))
+        h = a @ h.T             # h x_n A_n, mode n first in C order: the next mode is last
+    d = h.reshape(-1, len(cores))     # (R_1 R_2 R_3, M)
+    d -= cores.reshape(len(cores), -1).T
+    return float(np.sqrt(sq + float(np.vdot(d, d))) / norm_x)
 
 
 def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None = None,
@@ -331,6 +337,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     edges = graph.edges()
     groups = _core_groups(graph, _levels(graph), config, flat.shape[1])
     decrease_coef = 0.5 + graph.row_sums() / config.beta
+    old_flat = np.empty_like(flat)      # each sweep's starting cores, then how far they moved
 
     # D = G at the start. The fit from D rounds to ~8 eps ||X||^2: used only where that is
     # below 1e-15 of the objective's scale, not on noiseless data (L ~ 0)
@@ -348,20 +355,19 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         old_mats = list(mats)
         d_all = _factor_phase(samples, mats,
                               lambda n, y: update_factor(samples, cores, mats, n, y))
-        old_flat = flat.copy()
+        np.copyto(old_flat, flat)
         _core_sweep(groups, config.beta * d_all, flat, flat)
 
         fit = _fit_from_d(norm_x ** 2, d_all, flat) if d_form else _fit(samples, cores, mats)
         total, l1, fit, manifold = _terms(cores, fit, edges, config)
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
-        moved = flat - old_flat
+        re = relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats, norm_x)
+        moved = np.subtract(flat, old_flat, out=old_flat)
         bound = float(np.dot(decrease_coef, np.einsum("ip,ip->i", moved, moved)))
         trace.records.append(IterationRecord(
             iteration=it, objective=total, l1_term=l1, fit_term=fit, manifold_term=manifold,
-            relative_error=relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats,
-                                          norm_x),
-            decrease_slack=(prev_total - total) - bound,
+            relative_error=re, decrease_slack=(prev_total - total) - bound,
             sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
             wall_ms=(time.perf_counter() - t0) * 1e3))
         converged = abs(total - prev_total) / max(norm_x, np.finfo(float).tiny) < config.zeta

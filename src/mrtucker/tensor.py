@@ -68,9 +68,9 @@ def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False)
     return out
 
 
-def _chunks(rows: int, width: int):
-    """Slices over `rows` rows of `width` doubles each, about 1 MB at a time."""
-    step = max(1, _CHUNK_FLOATS // max(1, width))
+def _chunks(rows: int, width: int, floats: int = _CHUNK_FLOATS):
+    """Slices over `rows` rows of `width` doubles each, `floats` (~1 MB) at a time."""
+    step = max(1, floats // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 

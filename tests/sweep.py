@@ -1,12 +1,15 @@
 """The sequential core sweep, for checking the solver's grouped one: each core
-updated on its own, in sample order, by the solver's single-row prox; and the
-single-core update it repeats, formed from the samples."""
+updated on its own, in sample order, by the solver's single-row prox; the
+single-core update it repeats, formed from the samples; and the sweep's RE
+column by QR in each mode's joint span, for checking the core-size one."""
+
+import math
 
 import numpy as np
 
 import mrtucker.solver as sv
 from mrtucker.graph import zero_graph
-from mrtucker.tensor import multi_mode_product
+from mrtucker.tensor import _chunks, multi_mode_product
 
 
 def sequential_core_sweep(graph, bd, src, dst, config) -> None:
@@ -30,3 +33,22 @@ def update_core(samples, cores, factors, graph, config, i) -> np.ndarray:
     return sv._core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
                          (graph.cols[lo:hi], graph.vals[lo:hi]),
                          *sv._prox_coefs(graph.row_sums()[i], config)).reshape(d_i.shape)
+
+
+def joint_span_relative_error(prev_cores, prev_factors, cores, factors, norm_x) -> float:
+    """relative_error in each mode's joint span: [U_n, U_n_prev] = Q_n R_n and the
+    orthonormal Q_n leave the norm, so R_n's column blocks [R_11; 0] and R_12 replace
+    the factors. The new state's core-sized reconstruction is subtracted from the
+    leading block of the old one's, formed ~1 MB of the joint span at a time."""
+    if not norm_x:
+        return 0.0
+    rs = [np.linalg.qr(np.hstack([u, v]), mode="r") for u, v in zip(factors, prev_factors)]
+    new = [r[:u.shape[1], :u.shape[1]] for r, u in zip(rs, factors)]
+    old = [r[:, u.shape[1]:] for r, u in zip(rs, factors)]
+    lead = (slice(None),) + tuple(slice(u.shape[1]) for u in factors)
+    sq = 0.0
+    for s in _chunks(len(cores), math.prod(r.shape[0] for r in rs)):
+        d = sv.reconstruct(prev_cores[s], old)
+        d[lead] -= sv.reconstruct(cores[s], new)
+        sq += float(np.vdot(d, d))
+    return float(np.sqrt(sq) / norm_x)

@@ -35,7 +35,7 @@ from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
 from graphs import from_dense
-from sweep import sequential_core_sweep, update_core
+from sweep import joint_span_relative_error, sequential_core_sweep, update_core
 
 
 def random_factors(rng, shape, ranks):
@@ -106,24 +106,28 @@ def test_objective_matches_bruteforce_sum():
 
 @pytest.mark.parametrize("strategy", ["binary", "heat_kernel"])
 def test_manifold_term_matches_pair_loop(strategy):
-    # edge-list sum against the unordered-pair loop; the 400-sample graph
-    # spans several ~1 MB edge chunks
+    # edge-list sum against the unordered-pair loop, on the 400-sample graph's
+    # several edge chunks; once more with cores that nearly coincide (a common core
+    # plus 1e-6 noise), where only per-edge differences keep 1e-12: the Laplacian
+    # form would cancel to ~1e-4 of the term
     rng = np.random.default_rng(31)
     x, cores, factors = make_instance(rng, m=400, shape=(8, 7, 5), ranks=(6, 5, 4), noise=0.5)
     g = build_graph(x, k=6, strategy=strategy, delta=50.0)
     config = SolverConfig(beta=0.3)
-    *_, manifold = objective(x, cores, factors, g, config)
-    flat = cores.reshape(400, -1)
     w = g.w
-    expected = 0.0
-    for i in range(400):
-        for j in range(i + 1, 400):
-            if w[i, j] != 0.0:
-                d = flat[i] - flat[j]
-                expected += float(w[i, j]) * float(np.dot(d, d))
-    expected /= config.beta
-    assert len(g.edges()[2]) * flat.shape[1] > 2 ** 17
-    assert abs(manifold - expected) <= 1e-12 * expected
+    ew = g.edges()[2]
+    assert len(list(tensor._chunks(len(ew), cores[0].size, sv._EDGE_FLOATS))) > 2
+    for stack in (cores, cores[0] + 1e-6 * rng.standard_normal(cores.shape)):
+        *_, manifold = objective(x, stack, factors, g, config)
+        flat = stack.reshape(400, -1)
+        expected = 0.0
+        for i in range(400):
+            for j in range(i + 1, 400):
+                if w[i, j] != 0.0:
+                    d = flat[i] - flat[j]
+                    expected += float(w[i, j]) * float(np.dot(d, d))
+        expected /= config.beta
+        assert abs(manifold - expected) <= 1e-12 * expected
 
 
 def test_objective_shape_mismatch():
@@ -776,9 +780,9 @@ def test_factor_residual_matches_data_space_form():
 # ----------------------------------------------------------- relative error
 
 def test_relative_error_cases():
-    # joint-span RE against explicit reconstructions: U_n kept (U_new = U_old),
-    # modes with 2 R_n >= I_n and with R_n = I_n (a joint span of full dimension),
-    # modes with 2 R_n < I_n (reduced to 2 R_n rows), and norm_x = 0
+    # RE against explicit reconstructions: U_n kept (U_new = U_old), modes with
+    # 2 R_n >= I_n and with R_n = I_n (old factors inside the new span), modes
+    # with 2 R_n < I_n, and norm_x = 0
     rng = np.random.default_rng(24)
     for shape, ranks in [((9, 8, 7), (2, 3, 3)), ((9, 5, 4), (3, 3, 4)), ((3, 4, 2), (3, 4, 2))]:
         f0, f1 = random_factors(rng, shape, ranks), random_factors(rng, shape, ranks)
@@ -791,21 +795,74 @@ def test_relative_error_cases():
         assert relative_error(c0, f0, c1, f1, 0.0) == 0.0
 
 
+def skew_rotation(rng, n, eps):
+    """exp(eps K) for a random skew K of unit Frobenius norm, by its Taylor series
+    (terms past the 20th are below 1e-60 for eps <= 1e-2)."""
+    k = rng.standard_normal((n, n))
+    k = (k - k.T) / max(np.linalg.norm(k - k.T), 1e-300)
+    out, term = np.eye(n), np.eye(n)
+    for j in range(1, 21):
+        term = term @ (eps * k) / j
+        out = out + term
+    return out
+
+
+def longdouble_distance(c0, f0, c1, f1) -> float:
+    """||X_hat_1 - X_hat_0||_F from reconstructions formed in np.longdouble."""
+    def rec(c, f):
+        return np.einsum("mabc,ia,jb,kc->mijk", *(np.asarray(a, np.longdouble) for a in (c, *f)))
+    d = rec(c1, f1) - rec(c0, f0)
+    return float(np.sqrt(np.sum(d * d)))
+
+
+@st.composite
+def re_cases(draw):
+    """(prev cores, prev factors, cores, factors) of 1-4 samples: each mode has
+    2 R_n < I_n, 2 R_n >= I_n or R_n = I_n, and the old state is drawn on its own,
+    is the new one, or is one rotation exp(eps K_n) per mode and a core step eps away."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    m = draw(st.integers(1, 4))
+    modes = [draw(st.sampled_from([(7, 2), (6, 3), (5, 3), (4, 4), (3, 3), (2, 1)]))
+             for _ in range(3)]
+    shape, ranks = tuple(i for i, _ in modes), tuple(r for _, r in modes)
+    f1 = random_factors(rng, shape, ranks)
+    c1 = rng.standard_normal((m,) + ranks)
+    kind = draw(st.sampled_from(["independent", "identical", 1e-2, 1e-6, 1e-10]))
+    if kind == "independent":
+        return rng.standard_normal(c1.shape), random_factors(rng, shape, ranks), c1, f1
+    if kind == "identical":
+        return c1.copy(), f1, c1, f1
+    f0 = FactorSet(*[skew_rotation(rng, len(u), kind) @ u for u in f1])
+    return c1 + kind * rng.standard_normal(c1.shape), f0, c1, f1
+
+
+@given(re_cases())
+def test_relative_error_matches_joint_span_and_longdouble(case):
+    # the core-size split V_n = U_n A_n + E_n against the joint-span QR oracle and an
+    # explicit longdouble reconstruction, within 1e-14 of the states' scale
+    # ||X_hat_0|| + ||X_hat_1|| in absolute terms (RE itself may be ~1e-10 of it)
+    c0, f0, c1, f1 = case
+    scale = float(np.linalg.norm(c0) + np.linalg.norm(c1))
+    got = relative_error(c0, f0, c1, f1, scale)
+    assert abs(got - joint_span_relative_error(c0, f0, c1, f1, scale)) <= 1e-14
+    assert abs(got - longdouble_distance(c0, f0, c1, f1) / scale) <= 1e-14
+
+
 def test_relative_error_forms_nothing_of_stack_size():
-    # the joint span of U_new and U_old holds the difference: with 2 R_n < I_n
-    # in every mode no array of the stacked reconstructions' size is formed
+    # with 2 R_n < I_n in every mode the joint span of U_new and U_old has 8 core
+    # stacks of entries, and the stacked reconstructions 32,000 / 18 times more: the
+    # split forms a few small matrices and two arrays of the core stack's size
     rng = np.random.default_rng(25)
     shape, ranks = (40, 40, 20), (3, 3, 2)
     f0, f1 = random_factors(rng, shape, ranks), random_factors(rng, shape, ranks)
     c0, c1 = rng.standard_normal((2, 60) + ranks)
-    stack_bytes = 60 * 40 * 40 * 20 * 8
     tracemalloc.start()
     try:
         relative_error(c0, f0, c1, f1, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < stack_bytes / 10
+    assert peak < 3 * c0.nbytes
 
 
 # ---------------------------------------------------------------- fit term
