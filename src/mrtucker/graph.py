@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _CHUNK_FLOATS, _stack_norm
+from .tensor import _CHUNK_FLOATS, _check_finite
 
 STRATEGIES = ("binary", "heat_kernel", "cosine")
 
@@ -75,10 +75,9 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
 
     strategy is one of 'binary', 'heat_kernel', 'cosine'; delta is the
     heat-kernel bandwidth exp(-d^2/delta). Non-finite or overflowing samples are
-    rejected, naming them.
+    rejected, naming them, from the squared row norms the distances use.
     """
     samples = np.asarray(samples, dtype=np.float64)
-    _stack_norm(samples)
     m = samples.shape[0]
     if m < 2:
         raise ValueError("need at least two samples to build a graph")
@@ -90,21 +89,15 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
         raise ValueError("heat kernel bandwidth delta must be positive")
 
     flat = samples.reshape(m, -1)
-    sq = np.einsum("ij,ij->i", flat, flat)
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.einsum("ij,ij->i", flat, flat)
+        _check_finite(float(np.sqrt(sq.sum())), sq)
     d2 = flat @ flat.T
     d2 *= -2.0
-    for r in range(0, m, step := _row_block(m)):     # row blocks: no M x M temporary
-        end = min(r + step, m)
-        with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
-            d2[r:end] += sq[r:end, None] + sq    # the bits of (sq_i + sq_j) - 2 <x_i, x_j>
-        np.maximum(d2[r:end], 0.0, out=d2[r:end])
-        # mirror the upper triangle so distances are exactly symmetric
-        np.copyto(d2[r:end, :end], d2[:end, r:end].T,
-                  where=np.tri(end - r, end, r - 1, dtype=bool))
-
-    # k nearest neighbors of each sample, self excluded, ties by lower index
-    np.fill_diagonal(d2, np.inf)
-    connected = _knn_mask(d2, k)
+    connected = np.empty((m, m), dtype=bool)
+    for r in range(0, m, step := _row_block(m)):     # one pass per block, while in cache
+        _distance_rows(d2, sq, r, min(r + step, m))
+        _knn_rows(d2[r:r + step], k, connected[r:r + step])
     connected |= connected.T
     np.fill_diagonal(connected, False)   # an all-inf row can tie with itself
     rows, cols = divmod(np.flatnonzero(connected), m)
@@ -135,21 +128,29 @@ def _row_block(m: int) -> int:
     return max(min(m, _CHUNK_FLOATS // (8 * m)), min(m // 8, _CHUNK_FLOATS // m), 1)
 
 
-def _knn_mask(d2: np.ndarray, k: int) -> np.ndarray:
-    """Each row's k smallest entries of d2 as a boolean mask, ties at the k-th smallest
-    value taken in index order (a stable argsort's first k), a row block at a time."""
-    m = d2.shape[0]
-    mask = np.empty(d2.shape, dtype=bool)
-    for r in range(0, m, step := _row_block(m)):
-        block, out = d2[r:r + step], mask[r:r + step]
-        kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
-        np.less_equal(block, kth, out=out)
-        over = np.flatnonzero(np.count_nonzero(out, axis=1) > k)   # more ties than places
-        if over.size:
-            ties = block[over] == kth[over]
-            spare = k - np.count_nonzero(block[over] < kth[over], axis=1)
-            out[over] &= ~ties | (np.cumsum(ties, axis=1) <= spare[:, None])
-    return mask
+def _distance_rows(d2: np.ndarray, sq: np.ndarray, r: int, end: int) -> None:
+    """Finish rows r:end of d2 (= -2 X X^T, rows above r done): (sq_i + sq_j) - 2 <x_i, x_j>
+    clipped at 0 right of the diagonal, the mirror of the rows above left of it, inf on it."""
+    upper = d2[r:end, r:]
+    with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
+        upper += sq[r:end, None] + sq[r:]
+    np.maximum(upper, 0.0, out=upper)
+    d2[r:end, :r] = d2[:r, r:end].T
+    block = d2[r:end, r:end]
+    np.copyto(block, block.T, where=np.tri(end - r, end - r, -1, dtype=bool))
+    np.fill_diagonal(block, np.inf)
+
+
+def _knn_rows(block: np.ndarray, k: int, out: np.ndarray) -> None:
+    """Each row's k smallest entries of block as a boolean mask in out, ties at the k-th
+    smallest value taken in index order (a stable argsort's first k)."""
+    kth = np.partition(block, k - 1, axis=1)[:, k - 1:k]
+    np.less_equal(block, kth, out=out)
+    over = np.flatnonzero(np.count_nonzero(out, axis=1) > k)   # more ties than places
+    if over.size:
+        ties = block[over] == kth[over]
+        spare = k - np.count_nonzero(block[over] < kth[over], axis=1)
+        out[over] &= ~ties | (np.cumsum(ties, axis=1) <= spare[:, None])
 
 
 def save_edge_list(g: WeightGraph, path) -> None:

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import FactorSet
+from .solver import FactorSet, IterationRecord
 
 MAGIC = b"DTEN"
 VERSION = 1
@@ -102,25 +102,37 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
         try:
             for parts in reader:
                 rel, label = ([p.strip() for p in parts] + ["", ""])[:2]
-                if rel or len(parts) > 1:       # not a blank line
+                if rel:
                     rows.append((reader.line_num, rel, label or None))
+                elif len(parts) > 1:            # a label without a path, not a blank line
+                    raise csv.Error("empty sample path")
         except csv.Error as exc:
             raise ValueError(f"{manifest_path}: line {reader.line_num}: {exc}") from None
     if not rows:
         raise ValueError(f"{manifest_path}: empty manifest")
 
-    stack = None        # filled in place: no per-file list, no np.stack copy
-    for n, (lineno, rel, _) in enumerate(rows):
-        t = _read_dten(os.path.join(base, rel))
-        if stack is None:
-            stack = np.empty((len(rows),) + t.shape)
-        elif t.shape != stack.shape[1:]:
-            raise ValueError(
-                f"{manifest_path}: row {lineno} ({rel}) has shape {t.shape}, "
-                f"expected {stack.shape[1:]}"
-            )
-        stack[n] = t            # the file's one copy: its F-order payload into C order
-        del t                   # freed before the next file is read
+    # the first file by the checked reader; each later one by one readv into fixed-size buffers,
+    # kept if the first file's header and one payload came back, else by _read_dten's checks
+    first = _read_dten(os.path.join(base, rows[0][1]))
+    stack = np.empty((len(rows),) + first.shape)    # filled in place: no per-file list
+    stack[0], shape = first, first.shape
+    del first
+    header = MAGIC + struct.pack(f"<II{len(shape)}Q", VERSION, len(shape), *shape)
+    head, stage, spare = bytearray(len(header)), np.empty(shape[::-1], "<f8"), bytearray(1)
+    for n, (lineno, rel, _) in enumerate(rows[1:], start=1):
+        path = os.path.join(base, rel)
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            got = os.readv(fd, [head, stage, spare])
+        finally:
+            os.close(fd)
+        if got == len(header) + stage.nbytes and head == header:
+            stack[n] = stage.T      # the file's one copy: its F-order payload into C order
+        elif (t := _read_dten(path)).shape == shape:
+            stack[n] = t            # a well-formed file that one readv did not take whole
+        else:
+            raise ValueError(f"{manifest_path}: row {lineno} ({rel}) has shape {t.shape}, "
+                             f"expected {shape}")
     labels = [label for _, _, label in rows]
     label_list = None if all(l is None for l in labels) else [l or "" for l in labels]
     return stack, label_list
@@ -145,8 +157,9 @@ def save_run(out_dir, result, summary: dict) -> None:
     out = save_decomposition(out_dir, result.factors, result.cores)
     with open(out / "trace.csv", "w") as fh:
         fh.write(TRACE_HEADER + "\n")
+        names = [f.name for f in dataclasses.fields(IterationRecord)]
         for rec in result.trace.records:
-            it, *cols = dataclasses.astuple(rec)
+            it, *cols = (getattr(rec, name) for name in names)
             fh.write(f"{it}," + ",".join(repr(float(c)) for c in cols) + "\n")
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

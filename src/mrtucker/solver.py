@@ -118,7 +118,7 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
     """(total, l1_term, fit_term, manifold_term) of the objective."""
     samples, cores = _check_shapes(samples, cores, factors)
     edges = (graph or zero_graph(samples.shape[0])).edges()
-    return _terms(cores, _fit(samples, cores, factors), edges, config)
+    return _terms(cores, _fit(samples, cores, factors), edges, config)[:4]
 
 
 def _fit(samples, cores, factors) -> float:
@@ -140,11 +140,12 @@ def _fit_from_d(sq_norm_x: float, d_all, flat) -> float:
 
 
 def _terms(cores, fit: float, edges, config: SolverConfig):
-    """objective() from the fit term and the i < j edge arrays (i, j, w).
-    The manifold term is summed over edges, _EDGE_FLOATS of differences at a time, each
-    chunk one gather minus the other in place: the Laplacian form s.||G||^2 - <G, WG>
-    cancels to ~1e-10 relative, too coarse for descent checks."""
-    l1 = float(np.abs(cores).sum()) / config.gamma
+    """objective() and the share of |G| <= L0_TOL, from the fit term and the i < j edge
+    arrays (i, j, w). The manifold term is summed over edges, _EDGE_FLOATS of differences at
+    a time, each chunk one gather minus the other in place: the Laplacian form
+    s.||G||^2 - <G, WG> cancels to ~1e-10 relative, too coarse for descent checks."""
+    a = np.abs(cores)
+    l1 = float(a.sum()) / config.gamma
     flat = cores.reshape(cores.shape[0], -1)
     ei, ej, ew = edges
     manifold = 0.0
@@ -153,7 +154,7 @@ def _terms(cores, fit: float, edges, config: SolverConfig):
         d -= flat[ej[s]]
         manifold += float(ew[s] @ np.einsum("ep,ep->e", d, d))
     manifold /= config.beta
-    return l1 + fit + manifold, l1, fit, manifold
+    return l1 + fit + manifold, l1, fit, manifold, np.count_nonzero(a <= L0_TOL) / a.size
 
 
 def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np.ndarray:
@@ -359,7 +360,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         _core_sweep(groups, config.beta * d_all, flat, flat)
 
         fit = _fit_from_d(norm_x ** 2, d_all, flat) if d_form else _fit(samples, cores, mats)
-        total, l1, fit, manifold = _terms(cores, fit, edges, config)
+        total, l1, fit, manifold, sparsity = _terms(cores, fit, edges, config)
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
         re = relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats, norm_x)
@@ -368,7 +369,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         trace.records.append(IterationRecord(
             iteration=it, objective=total, l1_term=l1, fit_term=fit, manifold_term=manifold,
             relative_error=re, decrease_slack=(prev_total - total) - bound,
-            sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
+            sparsity=sparsity,
             wall_ms=(time.perf_counter() - t0) * 1e3))
         converged = abs(total - prev_total) / max(norm_x, np.finfo(float).tiny) < config.zeta
         prev_total = total

@@ -115,10 +115,15 @@ def _stack_norm(samples: np.ndarray) -> float:
     """||X||_F of a sample stack, or a ValueError naming the offending samples
     when it is not finite (NaN or inf entries, or ||X||^2 beyond float64). A
     finite ||X||^2 keeps every Gram entry of the stack finite (Cauchy-Schwarz)."""
-    with np.errstate(over="ignore", invalid="ignore"):     # reported below instead
-        norm = float(np.linalg.norm(samples.ravel()))
-        if not np.isfinite(norm):
-            bad = [i for i, x in enumerate(samples) if not np.isfinite(np.vdot(x, x))]
-            raise ValueError(f"samples are not finite or overflow float64 (||X||_F = "
-                             f"{norm}); non-finite ||X^(i)||^2 at samples {bad[:10]}")
+    with np.errstate(over="ignore", invalid="ignore"):     # reported as a ValueError instead
+        return _check_finite(float(np.linalg.norm(samples.ravel())),
+                             (np.vdot(x, x) for x in samples))
+
+
+def _check_finite(norm: float, sq) -> float:
+    """norm, unless it is not finite: then the ValueError naming the non-finite sq entries."""
+    if not np.isfinite(norm):
+        bad = [i for i, s in enumerate(sq) if not np.isfinite(s)]
+        raise ValueError(f"samples are not finite or overflow float64 (||X||_F = "
+                         f"{norm}); non-finite ||X^(i)||^2 at samples {bad[:10]}")
     return norm

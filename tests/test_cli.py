@@ -320,6 +320,21 @@ def test_documented_failures_exit_code_1(synth_dir, tmp_path, capsys):
         assert code == 1 and err.startswith("error:"), (spec, err)
 
 
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_decompose_rejects_manifest_row_without_path(synth_dir, tmp_path, capsys, monkeypatch,
+                                                     sub):
+    # a label with a blank path exits 1 naming the manifest and its line, not with the
+    # OSError of opening '' or the manifest's own directory
+    manifest = tmp_path / sub / "rows.csv"
+    manifest.parent.mkdir(exist_ok=True)
+    manifest.write_text(f"{synth_dir / 'data' / 'sample_0000.dten'},a\n  ,b\n")
+    monkeypatch.chdir(tmp_path)
+    rel = str(manifest.relative_to(tmp_path))
+    code, _, err = run_cli(["decompose", rel, "--out", str(tmp_path / "run")], capsys)
+    assert code == 1 and err == f"error: {rel}: line 2: empty sample path\n"
+    assert not (tmp_path / "run").exists()
+
 def test_programming_errors_are_not_mapped_to_exit_1(monkeypatch):
     def broken(args):
         raise TypeError("a bug")

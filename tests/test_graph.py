@@ -161,15 +161,16 @@ def test_graph_invariants_property(data, strategy):
     assert not np.any((w != 0.0) & ~pattern)
 
 
-def stable_argsort_graph(samples, k, strategy, delta):
+def stable_argsort_graph(samples, k, strategy, delta, d2=None):
     """Oracle W: each sample links the first k of a stable argsort of its
     distances (self at distance inf, so ties at inf can pick it), then the
     mutual-OR pattern is weighted. Distances are direct differences, exact on
-    the small integer-valued stacks below."""
+    the small integer-valued stacks below, unless given as d2."""
     m = samples.shape[0]
     flat = samples.reshape(m, -1)
-    with np.errstate(over="ignore"):
-        d2 = ((flat[:, None] - flat[None]) ** 2).sum(axis=2)
+    if d2 is None:
+        with np.errstate(over="ignore"):
+            d2 = ((flat[:, None] - flat[None]) ** 2).sum(axis=2)
     np.fill_diagonal(d2, np.inf)
     picked = np.zeros((m, m), dtype=bool)
     picked[np.arange(m)[:, None], np.argsort(d2, axis=1, kind="stable")[:, :k]] = True
@@ -180,10 +181,42 @@ def stable_argsort_graph(samples, k, strategy, delta):
     elif strategy == "heat_kernel":
         w = np.exp(d2 / -delta)
     else:
-        norms = np.sqrt(np.einsum("ij,ij->i", flat, flat))
+        norms = np.linalg.norm(flat, axis=1)
         w = np.clip(flat @ flat.T / np.outer(norms, norms), 0.0, 1.0) + 0.0   # no -0.0
     return np.where(picked, w, 0.0)
 
+
+
+def gram_distances(samples):
+    """Squared distances as a dense (sq_i + sq_j) - 2 <x_i, x_j>, clipped at 0, the upper
+    triangle mirrored below the diagonal: build_graph's rounding, in one M x M expression."""
+    flat = samples.reshape(samples.shape[0], -1)
+    sq = np.einsum("ij,ij->i", flat, flat)
+    d2 = np.maximum(-2.0 * (flat @ flat.T) + (sq[:, None] + sq), 0.0)
+    return np.where(np.tri(len(d2), k=-1, dtype=bool), d2.T, d2)
+
+
+# the benchmark workloads' generator settings and graph degrees
+WORKLOAD_SPECS = {"desk": ({}, 4), "many_samples": ({"m": 1000}, 4),
+                  "large_tensor": ({"m": 100, "shape": (48, 48, 8), "ranks": (10, 10, 8)}, 4),
+                  "dense_graph": ({"m": 400}, 48)}
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SPECS))
+def test_build_graph_on_workload_instances_is_the_oracles(workload, seed):
+    # real-valued instances at their graph degree: rows, cols and vals bitwise equal to
+    # the stable-argsort oracle's on the same Gram-form distances, for every strategy
+    spec, k = WORKLOAD_SPECS[workload]
+    samples, _ = generate(SynthSpec(**spec, seed=seed))
+    d2 = gram_distances(samples)
+    for strategy in ("binary", "heat_kernel", "cosine"):
+        g = build_graph(samples, k, strategy)
+        w = stable_argsort_graph(samples, k, strategy, DEFAULT_DELTA, d2=d2)
+        rows, cols = np.nonzero(w)
+        assert g.rows.tobytes() == rows.astype(g.rows.dtype).tobytes(), strategy
+        assert g.cols.tobytes() == cols.astype(g.cols.dtype).tobytes(), strategy
+        assert g.vals.tobytes() == w[rows, cols].tobytes(), strategy
 
 @st.composite
 def tie_heavy_stacks(draw):

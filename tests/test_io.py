@@ -23,6 +23,7 @@ from mrtucker import (
     generate,
     solve,
 )
+from mrtucker import io as mtio
 from mrtucker.solver import IterationRecord
 from mrtucker.io import (
     TRACE_HEADER,
@@ -179,6 +180,94 @@ def test_load_samples_empty_manifest(tmp_path):
     with pytest.raises(ValueError, match="empty"):
         load_samples(tmp_path / "manifest.csv")
 
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+@pytest.mark.parametrize("row", [",y", "  ,y", ",", " , "])
+def test_load_samples_rejects_row_without_path(tmp_path, monkeypatch, sub, row):
+    # a label with an empty or blank path names the manifest and its line, whether the
+    # manifest's directory is the working one ('' joins to '') or another (a directory)
+    (tmp_path / sub).mkdir(exist_ok=True)
+    write_tensor(tmp_path / sub / "a.dten", np.ones((2, 2, 2)))
+    manifest = os.path.join(sub, "manifest.csv")
+    (tmp_path / manifest).write_text(f"a.dten,x\n{row}\n")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError, match=re.escape(f"{manifest}: line 2: empty sample path")):
+        load_samples(manifest)
+
+
+# a good order-3 DTEN file's bytes, corrupted in each way the header checks name
+LATER_ROW_FAULTS = {
+    "truncated": lambda raw: raw[:-8],
+    "trailing": lambda raw: raw + b"\0",
+    "magic": lambda raw: b"NOPE" + raw[4:],
+    "version": lambda raw: raw[:4] + struct.pack("<I", 2) + raw[8:],
+    "order": lambda raw: raw[:8] + struct.pack("<I", 2) + raw[12:],
+    "huge_order": lambda raw: raw[:8] + struct.pack("<I", 2 ** 31) + raw[12:],
+    "short_header": lambda raw: raw[:10],
+    "empty": lambda raw: b"",
+}
+
+
+@pytest.mark.parametrize("fault", sorted(LATER_ROW_FAULTS))
+def test_load_samples_later_row_fault_is_read_tensors_error(tmp_path, fault):
+    # a later row read into the fixed-size buffers and found wrong raises exactly the
+    # error read_tensor gives for that file
+    rng = np.random.default_rng(1)
+    for name in ("a.dten", "b.dten", "c.dten"):
+        write_tensor(tmp_path / name, rng.standard_normal((3, 2, 4)))
+    bad = tmp_path / "b.dten"
+    bad.write_bytes(LATER_ROW_FAULTS[fault](bad.read_bytes()))
+    write_manifest(tmp_path / "manifest.csv", [(n, None) for n in ("a.dten", "b.dten", "c.dten")])
+    with pytest.raises(ValueError) as want:
+        read_tensor(bad)
+    with pytest.raises(ValueError, match=re.escape(str(want.value))):
+        load_samples(tmp_path / "manifest.csv")
+
+
+@pytest.mark.parametrize("shape", [(2, 3, 4), (3, 3, 2), (3, 4), (3, 2, 4, 1), (4, 3, 2)])
+def test_load_samples_later_row_of_other_extents_names_row(tmp_path, shape):
+    # same byte count or not, any other extents are today's shape mismatch, naming the row
+    write_tensor(tmp_path / "a.dten", np.ones((3, 2, 4)))
+    write_tensor(tmp_path / "b.dten", np.ones((3, 2, 4)))
+    write_tensor(tmp_path / "c.dten", np.ones(shape))
+    write_manifest(tmp_path / "manifest.csv", [(n, None) for n in ("a.dten", "b.dten", "c.dten")])
+    with pytest.raises(ValueError, match=re.escape(
+            f"row 3 (c.dten) has shape {shape}, expected (3, 2, 4)")):
+        load_samples(tmp_path / "manifest.csv")
+
+
+def test_load_samples_checks_one_header_in_full(tmp_path):
+    # on a clean manifest only the first row goes through _read_dten: the later rows take
+    # the one-readv path, none falls back
+    rng = np.random.default_rng(6)
+    rows = []
+    for i in range(7):
+        write_tensor(tmp_path / f"s{i}.dten", rng.standard_normal((4, 3, 2)))
+        rows.append((f"s{i}.dten", None))
+    write_manifest(tmp_path / "manifest.csv", rows)
+    with mock.patch.object(mtio, "_read_dten", wraps=mtio._read_dten) as reader:
+        samples, _ = load_samples(tmp_path / "manifest.csv")
+    assert reader.call_count == 1
+    assert samples.tobytes() == np.stack([read_tensor(tmp_path / r) for r, _ in rows]).tobytes()
+
+
+def test_load_samples_takes_a_short_readv_through_the_checked_reader(tmp_path):
+    # a readv that comes back short (e.g. one read stops short of 2 GiB) is no error: the
+    # row is read again in full
+    rng = np.random.default_rng(7)
+    want = rng.standard_normal((3, 5, 4, 2))
+    for i, t in enumerate(want):
+        write_tensor(tmp_path / f"s{i}.dten", t)
+    write_manifest(tmp_path / "manifest.csv", [(f"s{i}.dten", None) for i in range(3)])
+    real = os.readv
+
+    def short(fd, buffers):
+        return min(real(fd, buffers), 100)
+
+    with mock.patch("os.readv", short):
+        got, _ = load_samples(tmp_path / "manifest.csv")
+    assert got.tobytes() == want.tobytes()
 
 # -0.0, the smallest subnormals, NaNs (one with a payload) and infinities, among any floats
 SPECIAL = st.sampled_from([-0.0, 5e-324, -2.2e-308, float("nan"), -float("inf"),
