@@ -175,43 +175,31 @@ def cmd_decompose(args) -> int:
 
 def cmd_synth(args) -> int:
     with open(args.spec) as fh:
-        raw = json.load(fh)
-    try:        # a spec that is not an object of well-typed SynthSpec fields
-        spec = SynthSpec(**{k: tuple(v) if k in ("shape", "ranks") else v
-                            for k, v in raw.items()})
-    except (AttributeError, TypeError) as exc:
-        raise ValueError(f"{args.spec}: bad synth spec: {exc}") from None
+        try:    # not JSON, not an object, an unknown field or one SynthSpec rejects
+            spec = SynthSpec(**json.load(fh))
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.spec}: bad synth spec: {exc}") from None
     samples, truth = generate(spec)
     out = Path(args.out)
     io.save_decomposition(out / "truth", truth.factors, truth.cores)
-    rows = []
-    for i in range(spec.m):
-        name = f"sample_{i:04d}.dten"
-        io.write_tensor(out / name, samples[i])
-        rows.append((name, str(int(truth.labels[i]))))
-    io.write_manifest(out / "manifest.csv", rows)
+    names = [f"sample_{i:04d}.dten" for i in range(spec.m)]
+    for name, sample in zip(names, samples):
+        io.write_tensor(out / name, sample)
+    io.write_manifest(out / "manifest.csv", zip(names, map(str, truth.labels.tolist())))
     print(f"wrote {out / 'manifest.csv'}: {spec.m} samples of shape {spec.shape}")
     return 0
 
 
 def cmd_eval(args) -> int:
     samples, labels = io.load_samples(args.manifest)
-    factors, cores, _, trace_rows = io.load_run(args.run)
-    wall = [row["wall_ms"] for row in trace_rows]
-    report = evaluate(samples, cores, factors, labels=labels, k=args.k, wall_ms=wall)
-    d = dataclasses.asdict(report)
+    factors, cores, _, _ = io.load_run(args.run)
+    d = dataclasses.asdict(evaluate(samples, cores, factors, labels=labels, k=args.k))
     if args.json:
         print(json.dumps(d, sort_keys=True))
     else:
-        timing = d.pop("timing_ms")
         width = max(len(k) for k in d)
         for key, value in d.items():
-            shown = "n/a" if value is None else f"{value:.6f}"
-            print(f"{key:<{width}}  {shown}")
-        if timing:
-            print(f"{'iterations':<{width}}  {timing['iterations']}")
-            print(f"{'median_iter_ms':<{width}}  {timing['median_ms']:.3f}")
-            print(f"{'total_ms':<{width}}  {timing['total_ms']:.3f}")
+            print(f"{key:<{width}}  {'n/a' if value is None else f'{value:.6f}'}")
     return 0
 
 

@@ -184,12 +184,17 @@ def load_run(run_dir) -> tuple[FactorSet, np.ndarray, dict, list[dict]]:
     names = ("u1.dten", "u2.dten", "u3.dten", "cores.dten")
     if bad := [name for name, t in zip(names, (*factors, cores)) if not np.isfinite(t).all()]:
         raise ValueError(f"{run}: non-finite entries (NaN or inf) in {', '.join(bad)}")
-    with open(run / "summary.json") as fh:
-        summary = json.load(fh)
-    trace_rows = []
-    with open(run / "trace.csv") as fh:
-        header = fh.readline().strip().split(",")
-        for line in fh:
-            if line.strip():
-                trace_rows.append(dict(zip(header, (float(v) for v in line.split(",")))))
+    where, trace_rows = run / "summary.json", []
+    try:        # a malformed summary names its file; a malformed trace row, its line too
+        summary = json.loads(where.read_text())
+        with open(run / "trace.csv") as fh:
+            header = fh.readline().strip().split(",")
+            for n, line in enumerate(fh, start=2):
+                if line.strip():
+                    where, fields = f"{run / 'trace.csv'}: line {n}", line.split(",")
+                    if len(fields) != len(header):
+                        raise ValueError(f"{len(fields)} fields, the header has {len(header)}")
+                    trace_rows.append(dict(zip(header, map(float, fields))))
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from None
     return factors, cores, summary, trace_rows

@@ -201,18 +201,13 @@ def core_threshold(graph_row_sum, config: SolverConfig):
     return config.beta / (config.gamma * (config.beta + 2.0 * graph_row_sum))
 
 
-def _prox_coefs(row_sums, config: SolverConfig):
-    """The core updates' per-row coefficients (beta + 2 s_i, tau^(i)), formed once."""
-    return config.beta + 2.0 * row_sums, core_threshold(row_sums, config)
-
-
 def _core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out=None) -> np.ndarray:
     """Closed-form minimiser of core i's subproblem (cores j != i fixed), flat, into out:
-    the prox centre alpha^(i) = (beta D^(i) + 2 sum_j w_ij G^(j)) / (beta + 2 s_i),
-    summed over the row's (neighbour indices, weights), soft-thresholded at tau^(i).
-    bd_i = beta D^(i); den_i and tau_i come from _prox_coefs. out may be core i's own
-    row, which is never its own neighbour. r rows of one degree d take bd_i (r, 1, P),
-    indices (r, d), weights (r, 1, d), den_i and tau_i (r, 1, 1): bitwise r row calls."""
+    the prox centre alpha^(i) = (bd_i + 2 sum_j w_ij G^(j)) / den_i, summed over the row's
+    (neighbour indices, weights), soft-thresholded at tau_i; bd_i = beta D^(i), den_i =
+    beta + 2 s_i and tau_i = core_threshold(s_i). out may be core i's own row, never its
+    own neighbour. r rows of one degree d take bd_i (r, 1, P), indices (r, d), weights
+    (r, 1, d), den_i and tau_i (r, 1, 1): bitwise r row calls."""
     idx, wts = neighbours
     out = np.matmul(wts, flat_cores[idx], out=out)
     out *= 2.0
@@ -254,7 +249,8 @@ def _core_groups(graph: WeightGraph, level, config: SolverConfig, width: int) ->
     off = np.cumsum(n) - n
     e = np.repeat(np.cumsum(deg)[order] - n - off, n) + np.arange(len(graph.rows))
     cols, vals, off = graph.cols[e], graph.vals[e], off.tolist() + [len(e)]
-    den, tau = _prox_coefs(graph.row_sums()[order], config)
+    sums = graph.row_sums()[order]
+    den, tau = config.beta + 2.0 * sums, core_threshold(sums, config)
     lone = order.tolist(), den.tolist(), tau.tolist()   # Python scalars: fastest to build
     groups = []
     for a, b in zip(bounds, bounds[1:]):

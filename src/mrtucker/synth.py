@@ -3,7 +3,9 @@ tests and the CLI eval command."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -24,6 +26,19 @@ class SynthSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("shape", "ranks"):         # a JSON spec gives them as lists
+            v = getattr(self, name)
+            if not (isinstance(v, (tuple, list)) and len(v) == 3 and all(
+                    isinstance(e, Integral) and not isinstance(e, bool) and e > 0 for e in v)):
+                raise ValueError(f"{name} must be three positive ints, got {v!r}")
+            setattr(self, name, tuple(v))
+        for name in ("m", "n_clusters", "seed"):    # True is an int to Python, not here
+            if isinstance(v := getattr(self, name), bool) or not isinstance(v, Integral):
+                raise ValueError(f"{name} must be an int, got {v!r}")
+        for name in ("sparsity", "separation", "noise"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not (isinstance(v, Real) and -math.inf < v < math.inf):
+                raise ValueError(f"{name} must be a finite real number, got {v!r}")
         if any(r > e for r, e in zip(self.ranks, self.shape)):
             raise ValueError(f"ranks {self.ranks} exceed shape {self.shape}")
         if not 0.0 <= self.sparsity <= 1.0:
@@ -55,23 +70,16 @@ def generate(spec: SynthSpec) -> tuple[np.ndarray, SynthTruth]:
     nnz = max(1, int(round((1.0 - spec.sparsity) * p)))
     labels = np.arange(spec.m) % spec.n_clusters
 
-    supports = []
-    means = []
-    for _ in range(spec.n_clusters):
-        support = rng.choice(p, size=nnz, replace=False)
-        mean = np.zeros(p)
+    supports = np.empty((spec.n_clusters, nnz), dtype=np.intp)
+    means = np.zeros((spec.n_clusters, p))
+    for c in range(spec.n_clusters):
+        supports[c] = rng.choice(p, size=nnz, replace=False)
         signs = rng.choice([-1.0, 1.0], size=nnz)
-        mean[support] = spec.separation * signs * rng.uniform(0.5, 1.5, size=nnz)
-        supports.append(support)
-        means.append(mean)
-
-    cores = np.zeros((spec.m, p))
-    for i in range(spec.m):
-        c = labels[i]
-        jitter = np.zeros(p)
-        jitter[supports[c]] = rng.standard_normal(nnz)
-        cores[i] = means[c] + jitter
-    cores = cores.reshape((spec.m,) + tuple(spec.ranks))
+        means[c, supports[c]] = spec.separation * signs * rng.uniform(0.5, 1.5, size=nnz)
+    # unit jitter on each sample's cluster support, drawn sample after sample
+    cores = means[labels]
+    cores[np.arange(spec.m)[:, None], supports[labels]] += rng.standard_normal((spec.m, nnz))
+    cores = cores.reshape((spec.m,) + spec.ranks)
 
     samples = reconstruct(cores, factors)
     if spec.noise > 0:
@@ -79,11 +87,11 @@ def generate(spec: SynthSpec) -> tuple[np.ndarray, SynthTruth]:
     return samples, SynthTruth(factors=factors, cores=cores, labels=labels)
 
 
-def _knn_sets(points: np.ndarray, k: int) -> list[set[int]]:
+def _knn_sets(points, k: int) -> list[set[int]]:
     """Each point's k nearest others, ties by lower index. Distances come from
     direct differences, one row at a time: the Gram form |a|^2 + |b|^2 - 2<a,b>
     ranks near-identical points (as cores pulled to a consensus) by rounding noise."""
-    flat = points.reshape(points.shape[0], -1)
+    flat = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
     out = []
     for i, row in enumerate(flat):
         d2 = np.einsum("jp,jp->j", diff := flat - row, diff)
@@ -95,14 +103,10 @@ def _knn_sets(points: np.ndarray, k: int) -> list[set[int]]:
 def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:
     """Mean fraction of each sample's k nearest raw-space neighbors retained
     among its k nearest core-space neighbors (ties by index)."""
-    raw = np.asarray(raw, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    m = raw.shape[0]
-    if not 1 <= k < m:
-        raise ValueError(f"k={k} out of range [1, {m - 1}]")
-    raw_nn = _knn_sets(raw, k)
-    core_nn = _knn_sets(cores, k)
-    return float(np.mean([len(raw_nn[i] & core_nn[i]) / k for i in range(m)]))
+    if not 1 <= k < len(raw):
+        raise ValueError(f"k={k} out of range [1, {len(raw) - 1}]")
+    pairs = zip(_knn_sets(raw, k), _knn_sets(cores, k))
+    return float(np.mean([len(a & b) / k for a, b in pairs]))
 
 
 def nearest_centroid(cores: np.ndarray, labels) -> float:
@@ -115,24 +119,18 @@ def nearest_centroid(cores: np.ndarray, labels) -> float:
     if classes.size < 2:
         raise ValueError("need at least two classes")
     rng = np.random.default_rng(0)
-    train_idx, test_idx = [], []
+    centroids, test = [], []
     for c in classes:
         idx = np.flatnonzero(labels == c)
         if idx.size < 2:
             raise ValueError(f"class {c!r} has fewer than two samples")
         idx = rng.permutation(idx)
-        half = idx.size // 2
-        train_idx.extend(idx[:half].tolist())
-        test_idx.extend(idx[half:].tolist())
-    centroids = np.stack([
-        flat[[i for i in train_idx if labels[i] == c]].mean(axis=0) for c in classes
-    ])
-    correct = 0
-    for i in test_idx:
-        d = np.linalg.norm(centroids - flat[i], axis=1)
-        if classes[int(np.argmin(d))] == labels[i]:
-            correct += 1
-    return correct / len(test_idx)
+        centroids.append(flat[idx[:idx.size // 2]].mean(axis=0))
+        test.append(idx[idx.size // 2:])
+    test = np.concatenate(test)
+    x = flat[test]
+    dist = np.stack([np.linalg.norm(mu - x, axis=1) for mu in centroids])
+    return int(np.count_nonzero(classes[dist.argmin(axis=0)] == labels[test])) / test.size
 
 
 @dataclass
@@ -141,30 +139,14 @@ class EvalReport:
     core_sparsity: float
     neighbor_preservation: float
     nearest_centroid_accuracy: float | None
-    timing_ms: dict = field(default_factory=dict)
 
 
-def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4,
-             wall_ms=None) -> EvalReport:
+def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4) -> EvalReport:
     samples, cores = _check_shapes(samples, cores, factors)
     denom = max(_stack_norm(samples), np.finfo(float).tiny)     # names non-finite samples
-    re = float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom)
-    accuracy = None
-    if labels is not None:
-        accuracy = nearest_centroid(cores, labels)
-    timing = {}
-    if wall_ms is not None and len(wall_ms) > 0:
-        wall = np.asarray(wall_ms, dtype=np.float64)
-        timing = {
-            "iterations": int(wall.size),
-            "median_ms": float(np.median(wall)),
-            "mean_ms": float(wall.mean()),
-            "total_ms": float(wall.sum()),
-        }
     return EvalReport(
-        reconstruction_re=re,
+        reconstruction_re=float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom),
         core_sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
         neighbor_preservation=neighbor_preservation(samples, cores, min(k, samples.shape[0] - 1)),
-        nearest_centroid_accuracy=accuracy,
-        timing_ms=timing,
+        nearest_centroid_accuracy=None if labels is None else nearest_centroid(cores, labels),
     )

@@ -16,7 +16,8 @@ def sequential_core_sweep(graph, bd, src, dst, config) -> None:
     """Core i = 0, 1, ..., M-1 in turn from bd[i] = beta D^(i) and its neighbours'
     rows of src, written to dst[i]: the Gauss-Seidel sweep when dst is src, the
     stationarity residual's fixed-point map of src otherwise."""
-    den, tau = sv._prox_coefs(graph.row_sums(), config)
+    sums = graph.row_sums()
+    den, tau = config.beta + 2.0 * sums, sv.core_threshold(sums, config)
     cuts = np.searchsorted(graph.rows, np.arange(graph.m + 1))
     for i in range(graph.m):
         e = slice(cuts[i], cuts[i + 1])
@@ -30,9 +31,10 @@ def update_core(samples, cores, factors, graph, config, i) -> np.ndarray:
     d_i = multi_mode_product(samples[i], factors, transpose=True)
     graph = graph or zero_graph(samples.shape[0])
     lo, hi = np.searchsorted(graph.rows, [i, i + 1])
+    s_i = graph.row_sums()[i]
     return sv._core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
-                         (graph.cols[lo:hi], graph.vals[lo:hi]),
-                         *sv._prox_coefs(graph.row_sums()[i], config)).reshape(d_i.shape)
+                         (graph.cols[lo:hi], graph.vals[lo:hi]), config.beta + 2.0 * s_i,
+                         sv.core_threshold(s_i, config)).reshape(d_i.shape)
 
 
 def joint_span_relative_error(prev_cores, prev_factors, cores, factors, norm_x) -> float:

@@ -171,7 +171,7 @@ def test_eval_command(synth_dir, tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert set(report) == {"reconstruction_re", "core_sparsity", "neighbor_preservation",
-                           "nearest_centroid_accuracy", "timing_ms"}
+                           "nearest_centroid_accuracy"}
     assert report["nearest_centroid_accuracy"] >= 0.5
     # table form
     code, out, _ = run_cli(["eval", "--run", str(run),
@@ -319,6 +319,33 @@ def test_documented_failures_exit_code_1(synth_dir, tmp_path, capsys):
         code, _, err = run_cli(["synth", "--spec", str(path), "--out", str(tmp_path)], capsys)
         assert code == 1 and err.startswith("error:"), (spec, err)
 
+
+
+@pytest.mark.parametrize("spec, message", [
+    ('{"shape": [16, 16], "ranks": [5, 5], "m": 5, "n_clusters": 2}',
+     "shape must be three positive ints, got [16, 16]"),
+    ('{"ranks": [5, 0, 6]}', "ranks must be three positive ints, got [5, 0, 6]"),
+    ('{"shape": [16, 16, true]}', "shape must be three positive ints, got [16, 16, True]"),
+    ('{"m": 2.5, "n_clusters": 2}', "m must be an int, got 2.5"),
+    ('{"n_clusters": "3"}', "n_clusters must be an int, got '3'"),
+    ('{"seed": null}', "seed must be an int, got None"),
+    ('{"separation": "x"}', "separation must be a finite real number, got 'x'"),
+    ('{"noise": NaN}', "noise must be a finite real number, got nan"),
+    ('{"sparsity": false}', "sparsity must be a finite real number, got False"),
+    ('{"bogus": 1}', "unexpected keyword argument 'bogus'"),
+    ("[1, 2]", "must be a mapping"),
+    ('{"m": ', "Expecting value"),
+])
+def test_synth_rejects_malformed_spec(tmp_path, capsys, spec, message):
+    # one "error:" line naming the spec file, exit 1, and nothing written
+    path = tmp_path / "spec.json"
+    path.write_text(spec)
+    code, out, err = run_cli(["synth", "--spec", str(path), "--out", str(tmp_path / "out")],
+                             capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: bad synth spec: ") and err.count("\n") == 1
+    assert message in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("sub", ["", "sub"])

@@ -1,6 +1,7 @@
 """Every name a package module imports is used in it (the package's __init__
-uses its imports by listing them in __all__), and every name in __all__ is
-bound on the package. Checked on the parsed source, with no linter needed."""
+uses its imports by listing them in __all__), every name in __all__ is bound on
+the package, and every module-level private name is read by package code outside
+its own definition. Checked on the parsed source, with no linter needed."""
 
 import ast
 from pathlib import Path
@@ -44,3 +45,41 @@ def test_all_names_are_bound():
     # a name left in __all__ after its function is removed breaks
     # "from mrtucker import *" and nothing else would notice
     assert [name for name in mrtucker.__all__ if not hasattr(mrtucker, name)] == []
+
+
+def _unread_private_names(sources: dict) -> list[str]:
+    """Module-level functions, classes and constants named "_x" (not dunders) that
+    no module reads, as a name or an attribute, outside their own definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = [(node.id if isinstance(node, ast.Name) else node.attr, id(node))
+             for tree in trees.values() for node in ast.walk(tree)
+             if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)]
+    unread = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            unread += [f"{module}: {name}" for name in names
+                       if name.startswith("_") and not name.startswith("__")
+                       and not any(r == name and i not in inside for r, i in reads)]
+    return unread
+
+
+def test_unread_private_name_is_reported():
+    a = ("_LIMIT = 3\n_UNUSED = 4\n\ndef _walk(n):\n    return _walk(n - 1) if n else 0\n\n"
+         "def _used():\n    return _LIMIT\n")
+    b = "from a import _used\n\ndef f():\n    return _used()\n"
+    assert _unread_private_names({"a.py": a, "b.py": b}) == ["a.py: _UNUSED", "a.py: _walk"]
+    assert _unread_private_names({"c.py": "import m\n_X = 1\n\ndef f():\n    return m._X\n"}) == []
+
+
+def test_private_names_are_read_by_package_code():
+    # a helper left behind by a deletion, or one only the tests still call
+    sources = {path.name: path.read_text() for path in MODULES}
+    assert _unread_private_names(sources) == []

@@ -465,6 +465,27 @@ def test_trace_csv_columns_follow_iteration_record(tmp_path):
     assert load_run(tmp_path)[3] == [dict(zip(TRACE_HEADER.split(","), map(float, values)))]
 
 
+@pytest.mark.parametrize("name, text, message", [
+    ("summary.json", '{"ranks": [1, 1, 1],}', "Expecting property name"),
+    ("trace.csv", TRACE_HEADER + "\n1,1,1,1,1,1,1,1,0\n\n2,1,1,1,abc,1,1,1,0\n",
+     "line 4: could not convert string to float: 'abc'"),
+    ("trace.csv", TRACE_HEADER + "\n1,1,1,1,1,1,1,1\n",
+     "line 2: 8 fields, the header has 9"),
+])
+def test_load_run_names_file_and_line_of_malformed_summary_or_trace(tmp_path, name, text,
+                                                                   message):
+    # a ValueError names the file, and a trace row's line; a short row must not
+    # come back short, leaving eval without the fields it reads
+    factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
+    save_run(tmp_path, SolveResult(factors, np.ones((1, 1, 1, 1)), SolverTrace(), "max_iter", 0),
+             {})
+    assert load_run(tmp_path)[3] == []
+    (tmp_path / name).write_text(text)
+    with pytest.raises(ValueError) as exc:
+        load_run(tmp_path)
+    assert str(exc.value).startswith(f"{tmp_path / name}: {message}")
+
+
 def test_read_tensor_huge_header_does_not_allocate(tmp_path):
     path = tmp_path / "huge.dten"
     path.write_bytes(b"DTEN" + struct.pack("<II", 1, 1) + struct.pack("<Q", 2 ** 40)

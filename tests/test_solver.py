@@ -379,7 +379,8 @@ def test_core_prox_satisfies_subgradient_optimality(case):
     d, flat, idx, wts, config = case
     s_i = float(wts.sum())
     g = np.empty_like(d)
-    sv._core_prox(config.beta * d, flat, (idx, wts), *sv._prox_coefs(s_i, config), g)
+    sv._core_prox(config.beta * d, flat, (idx, wts), config.beta + 2.0 * s_i,
+                  core_threshold(s_i, config), g)
     grad = g - d + sum(2.0 * w * (g - flat[j]) for j, w in zip(idx, wts)) / config.beta
     scale = 1.0 + np.abs(d).max() + np.abs(flat).max()
     tol = 64 * np.finfo(float).eps * scale * (1.0 + 2.0 * s_i / config.beta)

@@ -20,6 +20,7 @@ from mrtucker.solver import reconstruct
 from mrtucker.tensor import unfold
 
 from hooi import hooi_oracle
+from synth_loops import generate_loops, nearest_centroid_loops
 
 
 def test_generate_noiseless_multilinear_rank_bound():
@@ -77,6 +78,36 @@ def test_generate_validation():
         SynthSpec(noise=-0.1)
     with pytest.raises(ValueError):
         SynthSpec(m=4, n_clusters=5)
+
+
+# the SynthSpec overrides of the benchmark's four workloads (generate draws their
+# inputs), then each of the generator's edge settings
+GENERATE_SPECS = {
+    "desk": {},
+    "many_samples": {"m": 1000},
+    "large_tensor": {"m": 100, "shape": (48, 48, 8), "ranks": (10, 10, 8)},
+    "dense_graph": {"m": 400},
+    "dense_cores": {"sparsity": 0.0},
+    "one_entry_cores": {"sparsity": 1.0},
+    "one_cluster": {"n_clusters": 1},
+    "one_sample_clusters": {"n_clusters": 24},
+    "noiseless": {"noise": 0.0},
+}
+
+
+def _same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 5, 17])
+@pytest.mark.parametrize("name", GENERATE_SPECS)
+def test_generate_matches_per_sample_loops(name, seed):
+    spec = SynthSpec(**GENERATE_SPECS[name], seed=seed)
+    x, truth = generate(spec)
+    want_x, want = generate_loops(spec)
+    assert _same_bits(x, want_x) and _same_bits(truth.cores, want.cores)
+    assert _same_bits(truth.labels, want.labels)
+    assert all(_same_bits(u, v) for u, v in zip(truth.factors, want.factors))
 
 
 def test_hooi_exact_low_rank():
@@ -209,14 +240,42 @@ def test_nearest_centroid_validation():
         nearest_centroid(np.zeros((3, 2)), np.array([0, 1, 1]))  # class of one
 
 
+def _outcome(classify, cores, labels):
+    try:
+        return classify(cores, labels)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_nearest_centroid_matches_per_sample_loop():
+    # integer, string and blank labels; equal cores and equal centroids, whose
+    # distances tie; rows of P > 128 entries, which numpy sums in pairwise blocks
+    rng = np.random.default_rng(11)
+    names = np.array(["", "happy", "sad", "surprise"])
+    shapes = [(1,), (3, 2, 1), (130,), (5, 6, 5), (16, 16, 6)]
+    errors = []
+    for trial in range(300):
+        m = int(rng.integers(1, 30))
+        labels = rng.integers(0, int(rng.integers(1, 5)), size=m)
+        labels = [labels, names[labels], names[labels].tolist()][trial % 3]
+        shape = (m,) + shapes[trial % len(shapes)]
+        if trial % 2:
+            cores = rng.integers(-1, 2, size=shape).astype(float)
+        else:
+            cores = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3)
+        if trial % 7 == 3:
+            cores[:] = cores[0]
+        want = _outcome(nearest_centroid_loops, cores, labels)
+        assert _outcome(nearest_centroid, cores, labels) == want, trial
+        errors.append(isinstance(want, str))
+    assert 50 < sum(errors) < 250             # both values and errors were compared
+
+
 def test_evaluate_report_fields():
     x, truth = generate(SynthSpec(seed=2))
-    report = evaluate(x, truth.cores, truth.factors, labels=truth.labels, k=4,
-                      wall_ms=[1.0, 2.0, 3.0])
+    report = evaluate(x, truth.cores, truth.factors, labels=truth.labels, k=4)
     d = dataclasses.asdict(report)
     assert 0.0 <= d["reconstruction_re"] <= 0.1       # noise-level misfit only
     assert 0.0 <= d["core_sparsity"] <= 1.0
     assert 0.0 <= d["neighbor_preservation"] <= 1.0
     assert 0.0 <= d["nearest_centroid_accuracy"] <= 1.0
-    assert d["timing_ms"]["iterations"] == 3
-    assert_allclose(d["timing_ms"]["median_ms"], 2.0)
