@@ -92,21 +92,28 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     with np.errstate(over="ignore", invalid="ignore"):
         sq = np.einsum("ij,ij->i", flat, flat)
         _check_finite(float(np.sqrt(sq.sum())), sq)
+    # numpy forms X X^T exactly symmetric, so whole rows give d2_ij and d2_ji the same bits
     d2 = flat @ flat.T
     d2 *= -2.0
     connected = np.empty((m, m), dtype=bool)
     for r in range(0, m, step := _row_block(m)):     # one pass per block, while in cache
-        _distance_rows(d2, sq, r, min(r + step, m))
-        _knn_rows(d2[r:r + step], k, connected[r:r + step])
+        block = d2[r:r + step]
+        with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
+            block += sq[r:r + step, None] + sq
+        np.maximum(block, 0.0, out=block)
+        np.fill_diagonal(block[:, r:], np.inf)
+        _knn_rows(block, k, connected[r:r + step])
+    del block                            # a view: it would keep d2 alive past the cosine del
     connected |= connected.T
     np.fill_diagonal(connected, False)   # an all-inf row can tie with itself
     rows, cols = divmod(np.flatnonzero(connected), m)
     del connected
+    lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)   # W read from the upper triangle
 
     if strategy == "binary":
         vals = np.ones(rows.size)
     elif strategy == "heat_kernel":
-        vals = np.exp(d2[rows, cols] / -delta)
+        vals = np.exp(d2[lo, hi] / -delta)
     else:
         del d2                           # not read by cosine weights: frees M x M doubles
         # exact power-of-two row scaling: tiny entries' squares do not underflow
@@ -114,8 +121,6 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
         norms = np.linalg.norm(flat, axis=1)
         if not norms.all():
             raise ValueError("cosine weights undefined for a zero-norm sample")
-        # read from the Gram's upper triangle: exactly symmetric
-        lo, hi = np.minimum(rows, cols), np.maximum(rows, cols)
         vals = (flat @ flat.T)[lo, hi] / (norms[lo] * norms[hi])
         np.clip(vals, 0.0, 1.0, out=vals)                   # drop negative similarities
     keep = vals > 0.0                    # heat underflow, clipped cosines
@@ -126,19 +131,6 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
 def _row_block(m: int) -> int:
     """Rows per block of an (M, M) array: M/8, between ~128 KB (or all of it) and ~1 MB."""
     return max(min(m, _CHUNK_FLOATS // (8 * m)), min(m // 8, _CHUNK_FLOATS // m), 1)
-
-
-def _distance_rows(d2: np.ndarray, sq: np.ndarray, r: int, end: int) -> None:
-    """Finish rows r:end of d2 (= -2 X X^T, rows above r done): (sq_i + sq_j) - 2 <x_i, x_j>
-    clipped at 0 right of the diagonal, the mirror of the rows above left of it, inf on it."""
-    upper = d2[r:end, r:]
-    with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
-        upper += sq[r:end, None] + sq[r:]
-    np.maximum(upper, 0.0, out=upper)
-    d2[r:end, :r] = d2[:r, r:end].T
-    block = d2[r:end, r:end]
-    np.copyto(block, block.T, where=np.tri(end - r, end - r, -1, dtype=bool))
-    np.fill_diagonal(block, np.inf)
 
 
 def _knn_rows(block: np.ndarray, k: int, out: np.ndarray) -> None:

@@ -47,6 +47,8 @@ class SynthSpec:
             raise ValueError("noise must be nonnegative")
         if not 1 <= self.n_clusters <= self.m:
             raise ValueError("cluster count must lie in [1, m]")
+        if self.seed < 0:
+            raise ValueError(f"seed must be nonnegative, got {self.seed}")
 
 
 @dataclass

@@ -329,6 +329,7 @@ def test_documented_failures_exit_code_1(synth_dir, tmp_path, capsys):
     ('{"m": 2.5, "n_clusters": 2}', "m must be an int, got 2.5"),
     ('{"n_clusters": "3"}', "n_clusters must be an int, got '3'"),
     ('{"seed": null}', "seed must be an int, got None"),
+    ('{"seed": -1}', "seed must be nonnegative, got -1"),
     ('{"separation": "x"}', "separation must be a finite real number, got 'x'"),
     ('{"noise": NaN}', "noise must be a finite real number, got nan"),
     ('{"sparsity": false}', "sparsity must be a finite real number, got False"),

@@ -189,7 +189,9 @@ def stable_argsort_graph(samples, k, strategy, delta, d2=None):
 
 def gram_distances(samples):
     """Squared distances as a dense (sq_i + sq_j) - 2 <x_i, x_j>, clipped at 0, the upper
-    triangle mirrored below the diagonal: build_graph's rounding, in one M x M expression."""
+    triangle mirrored below the diagonal: build_graph's rounding, in one M x M expression.
+    The mirror makes it symmetric by construction, so it is the independent reference that
+    build_graph's whole rows, which rest on numpy's X X^T being exactly symmetric, must equal."""
     flat = samples.reshape(samples.shape[0], -1)
     sq = np.einsum("ij,ij->i", flat, flat)
     d2 = np.maximum(-2.0 * (flat @ flat.T) + (sq[:, None] + sq), 0.0)
@@ -209,14 +211,53 @@ def test_build_graph_on_workload_instances_is_the_oracles(workload, seed):
     # the stable-argsort oracle's on the same Gram-form distances, for every strategy
     spec, k = WORKLOAD_SPECS[workload]
     samples, _ = generate(SynthSpec(**spec, seed=seed))
+    assert_graphs_are_the_oracles(samples, k, DEFAULT_DELTA)
+
+
+def assert_graphs_are_the_oracles(samples, k, delta):
+    # rows, cols and vals of every strategy bitwise equal to the oracle's on gram_distances
     d2 = gram_distances(samples)
     for strategy in ("binary", "heat_kernel", "cosine"):
-        g = build_graph(samples, k, strategy)
-        w = stable_argsort_graph(samples, k, strategy, DEFAULT_DELTA, d2=d2)
+        g = build_graph(samples, k, strategy, delta)
+        w = stable_argsort_graph(samples, k, strategy, delta, d2=d2)
         rows, cols = np.nonzero(w)
         assert g.rows.tobytes() == rows.astype(g.rows.dtype).tobytes(), strategy
         assert g.cols.tobytes() == cols.astype(g.cols.dtype).tobytes(), strategy
         assert g.vals.tobytes() == w[rows, cols].tobytes(), strategy
+
+
+@st.composite
+def scaled_real_stacks(draw):
+    """2-40 samples of a random shape up to the paper's 16x16x6, drawn with repeats from a
+    pool of standard normal samples, each scaled by its own 10^-80 to 10^80 (repeats put
+    distances a rounding apart), laid out C-contiguous, strided (every other sample of a
+    larger stack) or Fortran-ordered."""
+    shape = (draw(st.integers(1, 16)), draw(st.integers(1, 16)), draw(st.integers(1, 6)))
+    m = draw(st.integers(2, 40))
+    n_pool = draw(st.integers(1, m))
+    scales = 10.0 ** np.array(draw(st.lists(st.integers(-80, 80), min_size=n_pool,
+                                            max_size=n_pool)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pool = rng.standard_normal((n_pool,) + shape) * scales.reshape(-1, 1, 1, 1)
+    samples = pool[draw(st.lists(st.integers(0, n_pool - 1), min_size=m, max_size=m))]
+    layout = draw(st.sampled_from(["C", "strided", "F"]))
+    if layout == "strided":
+        big = np.zeros((2 * m,) + shape)
+        big[::2] = samples
+        return big[::2]
+    return np.asfortranarray(samples) if layout == "F" else samples
+
+
+@given(scaled_real_stacks(), st.data(), st.sampled_from([1, 400, graph._CHUNK_FLOATS]))
+def test_whole_row_distances_equal_the_mirrored_gram(samples, data, chunk):
+    # each row block forms its whole rows of the Gram form; W must come out bitwise equal
+    # to the oracle's on the mirrored Gram, for every layout and row blocking
+    m = samples.shape[0]
+    k = data.draw(st.integers(1, m - 1))
+    delta = 10.0 ** data.draw(st.floats(-3, 4))
+    with mock.patch.object(graph, "_CHUNK_FLOATS", chunk):
+        assert_graphs_are_the_oracles(samples, k, delta)
+
 
 @st.composite
 def tie_heavy_stacks(draw):
