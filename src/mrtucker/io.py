@@ -28,7 +28,8 @@ from .solver import FactorSet, IterationRecord
 
 MAGIC = b"DTEN"
 VERSION = 1
-TRACE_HEADER = "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms"
+TRACE_HEADER = ("iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms,"
+                "t_factor_ms,t_core_ms,t_eval_ms,t_other_ms")
 
 
 def write_tensor(path, t: np.ndarray) -> None:

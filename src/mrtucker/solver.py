@@ -25,9 +25,10 @@ import numpy as np
 
 from .graph import WeightGraph, zero_graph
 from .linalg import qf, thin_svd
-from .tensor import L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product, multi_mode_product
+from .tensor import (_CHUNK_FLOATS, L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product,
+                     multi_mode_product)
 
-_EDGE_FLOATS = 2 ** 15     # edge differences per chunk: ~256 KB, so a chunk stays in cache
+_CACHE_FLOATS = 2 ** 15    # ~256 KB of doubles: a chunk that stays in cache
 
 
 @dataclass
@@ -68,6 +69,10 @@ class IterationRecord:
     decrease_slack: float
     sparsity: float
     wall_ms: float
+    t_factor_ms: float          # the factor blocks and D
+    t_core_ms: float            # beta D, the copy of the old cores and the core sweep
+    t_eval_ms: float            # fit, terms, RE and the eq. (17) bound
+    t_other_ms: float           # wall_ms minus the three phases above
 
 
 @dataclass
@@ -141,7 +146,7 @@ def _fit_from_d(sq_norm_x: float, d_all, flat) -> float:
 
 def _terms(cores, fit: float, edges, config: SolverConfig):
     """objective() and the share of |G| <= L0_TOL, from the fit term and the i < j edge
-    arrays (i, j, w). The manifold term is summed over edges, _EDGE_FLOATS of differences at
+    arrays (i, j, w). The manifold term is summed over edges, _CACHE_FLOATS of differences at
     a time, each chunk one gather minus the other in place: the Laplacian form
     s.||G||^2 - <G, WG> cancels to ~1e-10 relative, too coarse for descent checks."""
     a = np.abs(cores)
@@ -149,7 +154,7 @@ def _terms(cores, fit: float, edges, config: SolverConfig):
     flat = cores.reshape(cores.shape[0], -1)
     ei, ej, ew = edges
     manifold = 0.0
-    for s in _chunks(len(ew), flat.shape[1], _EDGE_FLOATS):
+    for s in _chunks(len(ew), flat.shape[1], _CACHE_FLOATS):
         d = flat[ei[s]]
         d -= flat[ej[s]]
         manifold += float(ew[s] @ np.einsum("ep,ep->e", d, d))
@@ -201,19 +206,15 @@ def core_threshold(graph_row_sum, config: SolverConfig):
     return config.beta / (config.gamma * (config.beta + 2.0 * graph_row_sum))
 
 
-def _core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out=None) -> np.ndarray:
-    """Closed-form minimiser of core i's subproblem (cores j != i fixed), flat, into out:
-    the prox centre alpha^(i) = (bd_i + 2 sum_j w_ij G^(j)) / den_i, summed over the row's
-    (neighbour indices, weights), soft-thresholded at tau_i; bd_i = beta D^(i), den_i =
-    beta + 2 s_i and tau_i = core_threshold(s_i). out may be core i's own row, never its
-    own neighbour. r rows of one degree d take bd_i (r, 1, P), indices (r, d), weights
-    (r, 1, d), den_i and tau_i (r, 1, 1): bitwise r row calls."""
-    idx, wts = neighbours
-    out = np.matmul(wts, flat_cores[idx], out=out)
-    out *= 2.0
-    out += bd_i
-    out /= den_i
-    return soft_threshold(out, tau_i, out=out)
+def _prox_tail(sums, bd, den, tau):
+    """The elementwise part of core i's closed-form update (cores j != i fixed), in
+    place: the neighbour sums sum_j w_ij G^(j) become the prox centre alpha^(i) =
+    (bd + 2 sums) / den, soft-thresholded at tau; bd = beta D^(i), den = beta + 2 s_i
+    and tau = core_threshold(s_i), for one row or broadcast over a stack of them."""
+    sums *= 2.0
+    sums += bd
+    sums /= den
+    return soft_threshold(sums, tau, out=sums)
 
 
 def _levels(graph: WeightGraph) -> np.ndarray:
@@ -236,44 +237,51 @@ def _levels(graph: WeightGraph) -> np.ndarray:
 
 
 def _core_groups(graph: WeightGraph, level, config: SolverConfig, width: int) -> list:
-    """Runs of rows of one level (level=0: all at 0) and one degree, in (level, degree)
-    order and ~1 MB gathers of width-double cores: (i, neighbours, den_i, tau_i) for a lone
-    row i, else (rows, ...) in _core_prox's group shapes. A level's rows share no edge, and
-    neighbours j < i (j > i) sit lower (higher), so this order reads what row order reads."""
-    deg = np.bincount(graph.rows, minlength=graph.m)
-    key = level * (deg.max(initial=0) + 1) + deg
-    order = np.argsort(key, kind="stable")
-    bounds = np.flatnonzero(np.diff(key[order], prepend=-1, append=-1)).tolist()
-    # the edges row by row in that order, so each group's are one contiguous run
-    n = deg[order]
-    off = np.cumsum(n) - n
-    e = np.repeat(np.cumsum(deg)[order] - n - off, n) + np.arange(len(graph.rows))
-    cols, vals, off = graph.cols[e], graph.vals[e], off.tolist() + [len(e)]
-    sums = graph.row_sums()[order]
+    """The rows in (level, degree) order (level=0: all at 0), cut into slabs of one level
+    and ~256 KB of width-double prox centres, each slab a list of runs of one degree whose
+    gathers stay ~1 MB: (rows, [(start, stop, indices (k, d), weights (k, 1, d)), ...],
+    den_i, tau_i (n, 1, 1)), a run's start and stop counted within its slab. A level's
+    rows share no edge, and neighbours j < i (j > i) sit lower (higher), so this order
+    reads what row order reads."""
+    m, deg = graph.m, np.bincount(graph.rows, minlength=graph.m)
+    lvl = np.broadcast_to(level, deg.shape)
+    order = np.argsort(lvl * m + deg, kind="stable")
+    lvl, n = lvl[order], deg[order]
+    # each row's slab (its level's rows, ~256 KB at a time) and run ((slab, degree) rows,
+    # a ~1 MB gather at a time); each run's and each slab's first row
+    pos = np.arange(m)
+    slab = lvl * m + (pos - np.searchsorted(lvl, lvl)) // max(1, _CACHE_FLOATS // width)
+    group = slab * m + n
+    run = (pos - np.searchsorted(group, group)) // np.maximum(
+        1, _CHUNK_FLOATS // (np.maximum(n, 1) * width))
+    starts = np.flatnonzero(np.diff(group, prepend=-1) | np.diff(run, prepend=-1))
+    firsts = np.flatnonzero(np.diff(slab, prepend=-1))
+    # the edges row by row in that order, so each run's are one contiguous run
+    off = np.concatenate(([0], np.cumsum(n)))
+    e = np.repeat(np.cumsum(deg)[order] - off[1:], n) + np.arange(len(graph.rows))
+    cols, vals = graph.cols[e], graph.vals[e]
+    sums = graph.row_sums()[order, None, None]
     den, tau = config.beta + 2.0 * sums, core_threshold(sums, config)
-    lone = order.tolist(), den.tolist(), tau.tolist()   # Python scalars: fastest to build
-    groups = []
-    for a, b in zip(bounds, bounds[1:]):
-        if b - a == 1:                   # a lone row: the 1-D row call
-            e = slice(off[a], off[b])
-            groups.append((lone[0][a], (cols[e], vals[e]), lone[1][a], lone[2][a]))
-            continue
-        d = (off[b] - off[a]) // (b - a)
-        for s in _chunks(b - a, max(d, 1) * width):
-            r = slice(a + s.start, min(a + s.stop, b))
-            e, k = slice(off[r.start], off[r.stop]), r.stop - r.start
-            groups.append((order[r], (cols[e].reshape(k, d), vals[e].reshape(k, 1, d)),
-                           den[r, None, None], tau[r, None, None]))
-    return groups
+    row_at = np.append(starts, m).tolist()      # run bounds, in rows and in edges
+    edge_at = off[row_at].tolist()
+    runs = list(zip(row_at, row_at[1:], edge_at, edge_at[1:], n[starts].tolist()))
+    slab_at = firsts.tolist() + [m]
+    run_at = np.searchsorted(starts, firsts).tolist() + [len(runs)]
+    return [(order[s:t], [(a - s, b - s, cols[e0:e1].reshape(b - a, d),
+                           vals[e0:e1].reshape(b - a, 1, d)) for a, b, e0, e1, d in runs[p:q]],
+             den[s:t], tau[s:t])
+            for s, t, p, q in zip(slab_at, slab_at[1:], run_at, run_at[1:])]
 
 
-def _core_sweep(groups, bd, src, dst) -> None:
-    """Core updates over _core_groups' groups, from src into dst (dst = src: Gauss-Seidel)."""
-    for rows, neighbours, den, tau in groups:
-        if isinstance(rows, int):
-            _core_prox(bd[rows], src, neighbours, den, tau, dst[rows])
-        else:
-            dst[rows] = _core_prox(bd[rows, None], src, neighbours, den, tau)[:, 0]
+def _core_sweep(slabs, bd, src, dst) -> None:
+    """Core updates over _core_groups' slabs, from src into dst (dst = src: Gauss-Seidel):
+    each run's neighbour sums into one slab buffer, then the prox's elementwise part and
+    one scatter per slab."""
+    buf = np.empty((max((len(s[0]) for s in slabs), default=0), 1, src.shape[1]))
+    for rows, runs, den, tau in slabs:
+        for a, b, idx, wts in runs:
+            np.matmul(wts, src.take(idx, axis=0), out=buf[a:b])
+        dst[rows] = _prox_tail(buf[:len(rows)], bd.take(rows, axis=0)[:, None], den, tau)[:, 0]
 
 
 def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
@@ -352,8 +360,10 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         old_mats = list(mats)
         d_all = _factor_phase(samples, mats,
                               lambda n, y: update_factor(samples, cores, mats, n, y))
+        t1 = time.perf_counter()
         np.copyto(old_flat, flat)
         _core_sweep(groups, config.beta * d_all, flat, flat)
+        t2 = time.perf_counter()
 
         fit = _fit_from_d(norm_x ** 2, d_all, flat) if d_form else _fit(samples, cores, mats)
         total, l1, fit, manifold, sparsity = _terms(cores, fit, edges, config)
@@ -362,11 +372,14 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         re = relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats, norm_x)
         moved = np.subtract(flat, old_flat, out=old_flat)
         bound = float(np.dot(decrease_coef, np.einsum("ip,ip->i", moved, moved)))
+        t3 = time.perf_counter()
+        t_factor, t_core, t_eval = (t1 - t0) * 1e3, (t2 - t1) * 1e3, (t3 - t2) * 1e3
+        wall_ms = (time.perf_counter() - t0) * 1e3
         trace.records.append(IterationRecord(
             iteration=it, objective=total, l1_term=l1, fit_term=fit, manifold_term=manifold,
             relative_error=re, decrease_slack=(prev_total - total) - bound,
-            sparsity=sparsity,
-            wall_ms=(time.perf_counter() - t0) * 1e3))
+            sparsity=sparsity, wall_ms=wall_ms, t_factor_ms=t_factor, t_core_ms=t_core,
+            t_eval_ms=t_eval, t_other_ms=wall_ms - t_factor - t_core - t_eval))
         converged = abs(total - prev_total) / max(norm_x, np.finfo(float).tiny) < config.zeta
         prev_total = total
         if converged:

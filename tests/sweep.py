@@ -1,7 +1,8 @@
-"""The sequential core sweep, for checking the solver's grouped one: each core
-updated on its own, in sample order, by the solver's single-row prox; the
-single-core update it repeats, formed from the samples; and the sweep's RE
-column by QR in each mode's joint span, for checking the core-size one."""
+"""The sequential core sweep, for checking the solver's slab one: each core
+updated on its own, in sample order, by the single-row prox on the solver's
+elementwise part; the single-core update it repeats, formed from the samples;
+and the sweep's RE column by QR in each mode's joint span, for checking the
+core-size one."""
 
 import math
 
@@ -10,6 +11,14 @@ import numpy as np
 import mrtucker.solver as sv
 from mrtucker.graph import zero_graph
 from mrtucker.tensor import _chunks, multi_mode_product
+
+
+def core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out=None) -> np.ndarray:
+    """Closed-form minimiser of core i's subproblem (cores j != i fixed), flat, into out:
+    the row's (neighbour indices, weights) summed by one 1-D product, then the solver's
+    elementwise part. out may be core i's own row, never its own neighbour."""
+    idx, wts = neighbours
+    return sv._prox_tail(np.matmul(wts, flat_cores[idx], out=out), bd_i, den_i, tau_i)
 
 
 def sequential_core_sweep(graph, bd, src, dst, config) -> None:
@@ -21,7 +30,7 @@ def sequential_core_sweep(graph, bd, src, dst, config) -> None:
     cuts = np.searchsorted(graph.rows, np.arange(graph.m + 1))
     for i in range(graph.m):
         e = slice(cuts[i], cuts[i + 1])
-        sv._core_prox(bd[i], src, (graph.cols[e], graph.vals[e]), den[i], tau[i], dst[i])
+        core_prox(bd[i], src, (graph.cols[e], graph.vals[e]), den[i], tau[i], dst[i])
 
 
 def update_core(samples, cores, factors, graph, config, i) -> np.ndarray:
@@ -32,9 +41,9 @@ def update_core(samples, cores, factors, graph, config, i) -> np.ndarray:
     graph = graph or zero_graph(samples.shape[0])
     lo, hi = np.searchsorted(graph.rows, [i, i + 1])
     s_i = graph.row_sums()[i]
-    return sv._core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
-                         (graph.cols[lo:hi], graph.vals[lo:hi]), config.beta + 2.0 * s_i,
-                         sv.core_threshold(s_i, config)).reshape(d_i.shape)
+    return core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
+                     (graph.cols[lo:hi], graph.vals[lo:hi]), config.beta + 2.0 * s_i,
+                     sv.core_threshold(s_i, config)).reshape(d_i.shape)
 
 
 def joint_span_relative_error(prev_cores, prev_factors, cores, factors, norm_x) -> float:

@@ -15,7 +15,7 @@ import pytest
 import mrtucker
 from mrtucker import SolverConfig, cli
 from mrtucker.cli import main
-from mrtucker.io import read_tensor, write_tensor
+from mrtucker.io import load_run, read_tensor, write_tensor
 
 
 def run_cli(argv, capsys):
@@ -83,7 +83,8 @@ def test_decompose_run_layout(synth_dir, tmp_path, capsys):
     assert summary["stop_reason"] in ("converged", "max_iter")
     assert len(summary["stationarity"]["factor_residuals"]) == 3
     header = (run / "trace.csv").read_text().splitlines()[0]
-    assert header == "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms"
+    assert header == ("iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms,"
+                      "t_factor_ms,t_core_ms,t_eval_ms,t_other_ms")
 
 
 def test_old_core_files_refused_by_decompose_and_synth(synth_dir, tmp_path, capsys):
@@ -144,6 +145,24 @@ def test_decompose_deterministic_byte_identical_at_fixed_blas_threads(tmp_path, 
         for summary in summaries:
             summary.pop("wall_seconds")
         assert summaries[0] == summaries[1]
+
+
+def test_decompose_trace_time_columns(synth_dir, tmp_path, capsys):
+    # trace.csv's four phase columns are present and non-negative and add up to
+    # wall_ms; --deterministic zeroes all five time columns
+    phases = ["t_factor_ms", "t_core_ms", "t_eval_ms", "t_other_ms"]
+    for flags in ([], ["--deterministic"]):
+        run = tmp_path / f"run{len(flags)}"
+        assert main(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",
+                     "--max-iter", "5", *flags, "--out", str(run)]) == 0
+        rows = load_run(run)[3]
+        assert rows
+        for row in rows:
+            assert all(row[name] >= 0.0 for name in phases)
+            assert sum(row[name] for name in phases) == pytest.approx(row["wall_ms"],
+                                                                      rel=1e-12)
+            if flags:
+                assert [row[name] for name in ["wall_ms", *phases]] == [0.0] * 5
 
 
 def test_decompose_summary_config_and_no_seed(synth_dir, tmp_path, capsys):
@@ -231,7 +250,8 @@ def test_eval_non_finite_run_exit_1(synth_dir, tmp_path, capsys):
 @pytest.fixture()
 def fake_threadpoolctl(monkeypatch):
     """A stand-in threadpoolctl module; events records the limit requests,
-    the solve and the limiter's unregister() in the order they happen."""
+    the solve, the stationarity residual and the limiter's unregister() in the
+    order they happen."""
     events = []
 
     class Limiter:
@@ -245,8 +265,13 @@ def fake_threadpoolctl(monkeypatch):
         events.append(("solve",))
         return real_solve(*args, **kwargs)
 
-    real_solve = cli.solve
+    def stationarity_residual(*args, **kwargs):
+        events.append(("residual",))
+        return real_residual(*args, **kwargs)
+
+    real_solve, real_residual = cli.solve, cli.stationarity_residual
     monkeypatch.setattr(cli, "solve", solve)
+    monkeypatch.setattr(cli, "stationarity_residual", stationarity_residual)
     module = types.ModuleType("threadpoolctl")
     module.threadpool_limits = Limiter
     monkeypatch.setitem(sys.modules, "threadpoolctl", module)
@@ -261,7 +286,10 @@ def test_decompose_thread_limit_wraps_solve(synth_dir, tmp_path, fake_threadpool
     code, _, err = run_cli(["decompose", str(synth_dir / "manifest.csv"), "--max-iter", "2",
                             *flags, "--out", str(tmp_path / "run")], capsys)
     assert code == 0 and err == ""
-    expected = [("limit", limit), ("solve",), ("unregister",)] if limit else [("solve",)]
+    # the cap holds from before the solve until after the residuals
+    expected = [("solve",), ("residual",)]
+    if limit:
+        expected = [("limit", limit), *expected, ("unregister",)]
     assert fake_threadpoolctl == expected
     # the summary records the cap applied, not the --threads value
     assert json.loads((tmp_path / "run" / "summary.json").read_text())["threads"] == limit
@@ -284,6 +312,17 @@ def test_usage_error_exit_code_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["graph", "m.csv", "--k", "2", "--weights", "bogus", "--out", "e.csv"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_threads_must_be_positive(value, capsys):
+    # a cap of 0 or fewer BLAS threads is a usage error naming the value, not a
+    # value passed on to threadpool_limits and recorded in summary.json
+    with pytest.raises(SystemExit) as exc:
+        main(["decompose", "m.csv", "--threads", value, "--out", "run"])
+    assert exc.value.code == 2
+    assert f"argument --threads: expected a positive integer, got '{value}'" in \
+        capsys.readouterr().err
 
 
 def test_runtime_error_exit_code_1(tmp_path, capsys):

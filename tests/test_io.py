@@ -454,23 +454,24 @@ def test_save_run_refuses_directory_with_old_core_files(tmp_path):
 def test_trace_csv_columns_follow_iteration_record(tmp_path):
     # one row per record: the integer iteration, then every other field of
     # IterationRecord in declaration order, as repr() of a float
-    values = [3, 1.5, 0.25, 1e-300, 0.0, -2.0, 1 / 3, 0.5, 7.0]
+    values = [3, 1.5, 0.25, 1e-300, 0.0, -2.0, 1 / 3, 0.5, 7.0, 4.0, 2.0, 0.75, 0.25]
     trace = SolverTrace()
     trace.records.append(IterationRecord(*values))
     factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
     save_run(tmp_path, SolveResult(factors, np.ones((1, 1, 1, 1)), trace, "max_iter", 1), {})
     assert (tmp_path / "trace.csv").read_text() == (
-        "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms\n"
-        "3,1.5,0.25,1e-300,0.0,-2.0,0.3333333333333333,0.5,7.0\n")
+        "iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms,"
+        "t_factor_ms,t_core_ms,t_eval_ms,t_other_ms\n"
+        "3,1.5,0.25,1e-300,0.0,-2.0,0.3333333333333333,0.5,7.0,4.0,2.0,0.75,0.25\n")
     assert load_run(tmp_path)[3] == [dict(zip(TRACE_HEADER.split(","), map(float, values)))]
 
 
 @pytest.mark.parametrize("name, text, message", [
     ("summary.json", '{"ranks": [1, 1, 1],}', "Expecting property name"),
-    ("trace.csv", TRACE_HEADER + "\n1,1,1,1,1,1,1,1,0\n\n2,1,1,1,abc,1,1,1,0\n",
+    ("trace.csv", TRACE_HEADER + "\n1,1,1,1,1,1,1,1,0,0,0,0,0\n\n2,1,1,1,abc,1,1,1,0,0,0,0,0\n",
      "line 4: could not convert string to float: 'abc'"),
-    ("trace.csv", TRACE_HEADER + "\n1,1,1,1,1,1,1,1\n",
-     "line 2: 8 fields, the header has 9"),
+    ("trace.csv", TRACE_HEADER + "\n1,1,1,1,1,1,1,1,0,0,0,0\n",
+     "line 2: 12 fields, the header has 13"),
 ])
 def test_load_run_names_file_and_line_of_malformed_summary_or_trace(tmp_path, name, text,
                                                                    message):

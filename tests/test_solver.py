@@ -35,7 +35,7 @@ from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
 from graphs import from_dense
-from sweep import joint_span_relative_error, sequential_core_sweep, update_core
+from sweep import core_prox, joint_span_relative_error, sequential_core_sweep, update_core
 
 
 def random_factors(rng, shape, ranks):
@@ -116,7 +116,7 @@ def test_manifold_term_matches_pair_loop(strategy):
     config = SolverConfig(beta=0.3)
     w = g.w
     ew = g.edges()[2]
-    assert len(list(tensor._chunks(len(ew), cores[0].size, sv._EDGE_FLOATS))) > 2
+    assert len(list(tensor._chunks(len(ew), cores[0].size, sv._CACHE_FLOATS))) > 2
     for stack in (cores, cores[0] + 1e-6 * rng.standard_normal(cores.shape)):
         *_, manifold = objective(x, stack, factors, g, config)
         flat = stack.reshape(400, -1)
@@ -375,12 +375,12 @@ def prox_cases(draw):
           np.array([]), SolverConfig()))
 def test_core_prox_satisfies_subgradient_optimality(case):
     # 0 is in the subdifferential of (1/gamma)|g|_1 + (1/2)||g - d||^2
-    # + (1/beta) sum_j w_j ||g - g_j||^2 at g = _core_prox(...), term by term
+    # + (1/beta) sum_j w_j ||g - g_j||^2 at g = core_prox(...), term by term
     d, flat, idx, wts, config = case
     s_i = float(wts.sum())
     g = np.empty_like(d)
-    sv._core_prox(config.beta * d, flat, (idx, wts), config.beta + 2.0 * s_i,
-                  core_threshold(s_i, config), g)
+    core_prox(config.beta * d, flat, (idx, wts), config.beta + 2.0 * s_i,
+              core_threshold(s_i, config), g)
     grad = g - d + sum(2.0 * w * (g - flat[j]) for j, w in zip(idx, wts)) / config.beta
     scale = 1.0 + np.abs(d).max() + np.abs(flat).max()
     tol = 64 * np.finfo(float).eps * scale * (1.0 + 2.0 * s_i / config.beta)
@@ -459,28 +459,41 @@ def sweep_cases(draw):
             config)
 
 
+def assert_slab_schedule(slabs, g, level) -> np.ndarray:
+    """Each row in exactly one slab, one level per slab, runs that tile their slab
+    with one degree each; returns each row's slab number."""
+    slab_of = np.full(g.m, -1)
+    deg = np.bincount(g.rows, minlength=g.m)
+    for n, (rows, runs, _, _) in enumerate(slabs):
+        assert np.all(slab_of[rows] == -1)
+        slab_of[rows] = n
+        assert np.all(level[rows] == level[rows[0]])
+        assert [r[0] for r in runs] == [0] + [r[1] for r in runs[:-1]]
+        assert runs[-1][1] == len(rows)
+        for a, b, idx, _ in runs:
+            assert np.all(deg[rows[a:b]] == idx.shape[-1])
+    assert np.all(slab_of >= 0)
+    return slab_of
+
+
 @given(sweep_cases())
 def test_grouped_sweep_is_the_sequential_sweep(case):
-    # the level schedule covers each row once, one degree per group, and puts
-    # every edge's lower end in an earlier group (so no edge inside a group);
-    # its Gauss-Seidel sweep, and the residual's all-level-0 map, are bitwise
-    # those of the sequential per-row sweep
+    # the level schedule covers each row once, one level per slab and one degree
+    # per run, and puts every edge's lower end in an earlier slab (so no edge
+    # inside a slab); its Gauss-Seidel sweep, and the residual's all-level-0 map,
+    # are bitwise those of the sequential per-row sweep
     g, bd, flat, config = case
-    groups = sv._core_groups(g, sv._levels(g), config, flat.shape[1])
-    group_of = np.full(g.m, -1)
-    deg = np.bincount(g.rows, minlength=g.m)
-    for n, (rows, (idx, _), _, _) in enumerate(groups):
-        assert np.all(group_of[rows] == -1)
-        group_of[rows] = n
-        assert np.all(deg[rows] == idx.shape[-1])
-    assert np.all(group_of >= 0)
+    level = sv._levels(g)
+    slabs = sv._core_groups(g, level, config, flat.shape[1])
+    slab_of = assert_slab_schedule(slabs, g, level)
     i, j, _ = g.edges()
-    assert np.all(group_of[i] < group_of[j])
+    assert np.all(slab_of[i] < slab_of[j])
     got, want = flat.copy(), flat.copy()
-    sv._core_sweep(groups, bd, got, got)
+    sv._core_sweep(slabs, bd, got, got)
     sequential_core_sweep(g, bd, want, want, config)
     assert got.tobytes() == want.tobytes()
     level0 = sv._core_groups(g, 0, config, flat.shape[1])
+    assert_slab_schedule(level0, g, np.zeros(g.m, dtype=int))
     got, want = np.empty_like(flat), np.empty_like(flat)
     sv._core_sweep(level0, bd, flat, got)
     sequential_core_sweep(g, bd, flat, want, config)
@@ -488,15 +501,47 @@ def test_grouped_sweep_is_the_sequential_sweep(case):
 
 
 def test_zero_graph_sweep_is_one_batched_group_of_degree_0():
-    # every row in one group whose batched product of empty rows gives the row
-    # path's zeros: the sweep is bitwise the sequential one
+    # every row in one slab of one run whose batched product of empty rows gives
+    # the row path's zeros: the sweep is bitwise the sequential one
     rng = np.random.default_rng(37)
     g, config = zero_graph(5), SolverConfig(beta=0.5)
     bd, flat = rng.standard_normal((5, 3)), rng.standard_normal((5, 3))
-    (group,) = sv._core_groups(g, sv._levels(g), config, 3)
-    assert_array_equal(group[0], np.arange(5))
+    (slab,) = sv._core_groups(g, sv._levels(g), config, 3)
+    assert_array_equal(slab[0], np.arange(5))
+    (run,) = slab[1]
+    assert run[:2] == (0, 5) and run[2].shape == (5, 0)
     want = flat.copy()
-    sv._core_sweep([group], bd, flat, flat)
+    sv._core_sweep([slab], bd, flat, flat)
+    sequential_core_sweep(g, bd, want, want, config)
+    assert flat.tobytes() == want.tobytes()
+
+
+def test_gauss_seidel_sweep_works_in_slabs():
+    # on a 4-regular bipartite graph of M=4000 samples (two levels) with 150-entry
+    # cores (4.8 MB each for the cores and beta D), the level sweep's traced peak
+    # is its ~256 KB slab buffer beside one run's ~1 MB gather of neighbour cores,
+    # never a stack-sized array, and the sweep is bitwise the sequential one
+    m, p = 4000, 150
+    h = m // 2
+    i = np.repeat(np.arange(h), 4)
+    j = h + (i + np.tile(np.arange(4), h)) % h
+    rows, cols = np.concatenate([i, j]), np.concatenate([j, i])
+    o = np.lexsort((cols, rows))
+    g = WeightGraph(m=m, rows=rows[o], cols=cols[o], vals=np.ones(4 * m), k=4,
+                    strategy="binary")
+    config = SolverConfig(beta=0.5)
+    rng = np.random.default_rng(38)
+    bd, flat = rng.standard_normal((m, p)), rng.standard_normal((m, p))
+    slabs = sv._core_groups(g, sv._levels(g), config, p)
+    assert len(slabs) < m // 100
+    want = flat.copy()
+    tracemalloc.start()
+    try:
+        sv._core_sweep(slabs, bd, flat, flat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (sv._CACHE_FLOATS + tensor._CHUNK_FLOATS) + 2 ** 14, peak
     sequential_core_sweep(g, bd, want, want, config)
     assert flat.tobytes() == want.tobytes()
 
@@ -609,6 +654,9 @@ def test_solve_trace_fields_consistent():
                         rtol=1e-12)
         assert 0.0 <= rec.sparsity <= 1.0
         assert rec.wall_ms >= 0.0
+        phases = [rec.t_factor_ms, rec.t_core_ms, rec.t_eval_ms, rec.t_other_ms]
+        assert min(phases) >= 0.0
+        assert_allclose(sum(phases), rec.wall_ms, rtol=1e-12)
     assert res.trace.records[-1].iteration == res.n_iter
 
 
