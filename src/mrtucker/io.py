@@ -140,12 +140,8 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
 
 
 def save_decomposition(out_dir, factors, cores) -> Path:
-    """Write u1..u3.dten and cores.dten into out_dir, made if missing. A directory
-    holding old-layout core_<n>.dten files is refused, and they are left alone."""
+    """Write u1..u3.dten and cores.dten into out_dir, made if missing."""
     out = Path(out_dir)
-    if stale := sorted(out.glob("core_*.dten")):
-        raise ValueError(f"{out}: holds {len(stale)} core_<n>.dten file(s) of the old run "
-                         f"layout, e.g. {stale[0].name}; remove them or write elsewhere")
     out.mkdir(parents=True, exist_ok=True)
     for n, u in enumerate(factors, start=1):
         write_tensor(out / f"u{n}.dten", u)
@@ -174,9 +170,6 @@ def load_run(run_dir) -> tuple[FactorSet, np.ndarray, dict, list[dict]]:
     if any(u.ndim != 2 for u in factors):
         raise ValueError(f"{run}: factors must be matrices, "
                          f"got orders {[u.ndim for u in factors]}")
-    if not (run / "cores.dten").is_file():
-        raise ValueError(f"{run}: no cores.dten core stack (run directories in the old "
-                         f"core_<n>.dten layout are not read)")
     cores = read_tensor(run / "cores.dten")
     ranks = tuple(u.shape[1] for u in factors)
     if cores.shape[1:] != ranks:         # also rejects every order but 4

@@ -17,6 +17,7 @@ s_i = sum_{j != i} w_ij.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -108,6 +109,9 @@ def _check_shapes(samples, cores, factors):
     """samples and cores as float64 arrays, or a ValueError when the shapes disagree."""
     samples = np.asarray(samples, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
+    if samples.ndim != 4 or cores.ndim != 4 or len(factors) != 3:
+        raise ValueError(f"expected stacks of order-3 samples and cores and three factors, got "
+                         f"shapes {samples.shape} and {cores.shape} and {len(factors)} factors")
     if samples.shape[0] != cores.shape[0]:
         raise ValueError(f"sample and core counts differ: {samples.shape[0]} samples, "
                          f"{cores.shape[0]} cores")
@@ -155,27 +159,28 @@ def _terms(cores, fit: float, edges, config: SolverConfig):
     ei, ej, ew = edges
     manifold = 0.0
     for s in _chunks(len(ew), flat.shape[1], _CACHE_FLOATS):
-        d = flat[ei[s]]
-        d -= flat[ej[s]]
+        d = flat.take(ei[s], axis=0)
+        d -= flat.take(ej[s], axis=0)
         manifold += float(ew[s] @ np.einsum("ep,ep->e", d, d))
     manifold /= config.beta
     return l1 + fit + manifold, l1, fit, manifold, np.count_nonzero(a <= L0_TOL) / a.size
 
 
 def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np.ndarray:
-    """B = sum_i Y^(i)_(n) C^(i)_(n)^T, Y^(i) = X^(i) times the other factors of modes 1-2
-    transposed. Mode 3 takes C = G; modes 1 and 2 take C = G x_3 U_3, formed ~1 MB of Y
-    at a time: U_3 goes on the core side, the smaller one (the ordering principle of
-    ST-HOSVD, Vannieuwenhoven, Vandebril & Meerbergen 2012)."""
-    other = [k for k in range(2) if k != n]
+    """B_n = sum_i Z^(i)_(n) C^(i)_(n)^T, earlier modes on the data side and later ones on
+    the core side: Z = X x_k U_k^T over modes k < n (X itself for mode 1), C = G x_k U_k over
+    modes k > n, expanded last mode first ~1 MB of Z at a time (the ordering principle of
+    ST-HOSVD, Vannieuwenhoven, Vandebril & Meerbergen 2012). projected: Z, if formed."""
     # non-finite data is reported once, below, instead of as matmul warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        y = projected if projected is not None else multi_mode_product(
-            samples, [factors[k] for k in other], modes=[k + 1 for k in other], transpose=True)
-        b = _mode_gram(y, 3, cores) if n == 2 else sum(
-            (_mode_gram(y[s], n + 1, mode_product(cores[s], factors[2], 3))
-             for s in _chunks(len(y), math.prod(y.shape[1:]))),
-            np.zeros((y.shape[n + 1], cores.shape[n + 1])))
+        z = projected if projected is not None else multi_mode_product(
+            samples, factors[:n], modes=range(1, n + 1), transpose=True)
+        b = np.zeros((z.shape[n + 1], cores.shape[n + 1]))
+        for s in _chunks(len(z), math.prod(z.shape[1:])):
+            c = cores[s]
+            for k in range(2, n, -1):
+                c = mode_product(c, factors[k], k + 1)
+            b += _mode_gram(z[s], n + 1, c)
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
     return b
@@ -183,22 +188,19 @@ def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np
 
 def update_factor(samples, cores, factors: FactorSet, n: int, projected=None) -> np.ndarray:
     """Closed-form Stiefel update for mode n: qf of the cross-product matrix.
-    projected: the samples times the other factors of modes 1-2 transposed (for mode 3,
-    X x_1 U_1^T x_2 U_2^T), if already formed."""
+    projected: X x_k U_k^T over the modes k before n (X itself for mode 1), if formed."""
     return qf(_factor_cross_product(samples, cores, factors, n, projected))
 
 
 def _factor_phase(samples, mats: list, factor_block) -> np.ndarray:
-    """The factor blocks and D in two passes over the stack X. mats[n] = factor_block(n, Y)
-    for modes n = 0, 1, 2, Y being _factor_cross_product's projection: None for mode 0
-    (the block forms X x_2 U_2^T), Z_1 = X x_1 U_1^T for mode 1 and Z_12 = Z_1 x_2 U_2^T
-    for mode 2. Returns D = Z_12 x_3 U_3^T, one flat row per sample."""
-    mats[0] = factor_block(0, None)
-    z = mode_product(samples, mats[0].T, 1)
-    mats[1] = factor_block(1, z)
-    z = mode_product(z, mats[1].T, 2)
-    mats[2] = factor_block(2, z)
-    return mode_product(z, mats[2].T, 3).reshape(samples.shape[0], -1)
+    """The factor blocks and D in one pass over the modes: mats[n] = factor_block(n, Z) for
+    n = 0, 1, 2, Z being X projected onto the blocks' earlier results (X, Z_1 = X x_1 U_1^T,
+    Z_12 = Z_1 x_2 U_2^T). Returns D = Z_12 x_3 U_3^T, one flat row per sample."""
+    z = samples
+    for n in range(3):
+        mats[n] = factor_block(n, z)
+        z = mode_product(z, mats[n].T, n + 1)
+    return z.reshape(samples.shape[0], -1)
 
 
 def core_threshold(graph_row_sum, config: SolverConfig):
@@ -296,12 +298,9 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     sweep, so a solve keeps the consensus its start gives. The start draws no
     random numbers.
     """
-    projected = np.asarray(samples, dtype=np.float64)
-    mats = []
-    for n in range(3):
-        mats.append(thin_svd(_mode_gram(projected, n + 1))[0][:, :ranks[n]])
-        projected = mode_product(projected, mats[n].T, n + 1)
-    return FactorSet(*mats), np.ascontiguousarray(projected)
+    samples, mats = np.asarray(samples, dtype=np.float64), [None] * 3
+    d = _factor_phase(samples, mats, lambda n, z: thin_svd(_mode_gram(z, n + 1))[0][:, :ranks[n]])
+    return FactorSet(*mats), d.reshape(len(samples), *(u.shape[1] for u in mats))
 
 
 def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> float:
@@ -329,9 +328,11 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[0] < 1:
         raise ValueError("expected a nonempty stack of order-3 samples")
-    ranks = tuple(int(r) for r in ranks)
-    if any(not 1 <= r <= e for r, e in zip(ranks, samples.shape[1:])):
-        raise ValueError(f"ranks {ranks} incompatible with extents {samples.shape[1:]}")
+    ranks = tuple(ranks)
+    if len(ranks) != 3 or not all(isinstance(r, numbers.Integral) and 1 <= r <= e
+                                  for r, e in zip(ranks, samples.shape[1:])):
+        raise ValueError(f"ranks {ranks} are not three integers within extents "
+                         f"{samples.shape[1:]}")
     config = config or SolverConfig()
     graph = graph or zero_graph(samples.shape[0])
 
@@ -359,7 +360,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         t0 = time.perf_counter()
         old_mats = list(mats)
         d_all = _factor_phase(samples, mats,
-                              lambda n, y: update_factor(samples, cores, mats, n, y))
+                              lambda n, z: update_factor(samples, cores, mats, n, z))
         t1 = time.perf_counter()
         np.copyto(old_flat, flat)
         _core_sweep(groups, config.beta * d_all, flat, flat)

@@ -1,8 +1,9 @@
 """The sequential core sweep, for checking the solver's slab one: each core
 updated on its own, in sample order, by the single-row prox on the solver's
 elementwise part; the single-core update it repeats, formed from the samples;
-and the sweep's RE column by QR in each mode's joint span, for checking the
-core-size one."""
+the sweep's RE column by QR in each mode's joint span, for checking the
+core-size one; and the HOSVD start as its own loop over the modes, for checking
+the one that shares the sweep's projection walk."""
 
 import math
 
@@ -10,7 +11,8 @@ import numpy as np
 
 import mrtucker.solver as sv
 from mrtucker.graph import zero_graph
-from mrtucker.tensor import _chunks, multi_mode_product
+from mrtucker.linalg import thin_svd
+from mrtucker.tensor import _chunks, _mode_gram, mode_product, multi_mode_product
 
 
 def core_prox(bd_i, flat_cores, neighbours, den_i, tau_i, out=None) -> np.ndarray:
@@ -63,3 +65,14 @@ def joint_span_relative_error(prev_cores, prev_factors, cores, factors, norm_x) 
         d[lead] -= sv.reconstruct(cores[s], new)
         sq += float(np.vdot(d, d))
     return float(np.sqrt(sq) / norm_x)
+
+
+def loop_init_state(samples, ranks):
+    """(factors, cores) of the sequentially truncated HOSVD start: for each mode in turn,
+    the leading R_n left singular vectors of the projected stack's mode Gram, and the
+    stack then projected onto them."""
+    projected, mats = np.asarray(samples, dtype=np.float64), []
+    for n in range(3):
+        mats.append(thin_svd(_mode_gram(projected, n + 1))[0][:, :ranks[n]])
+        projected = mode_product(projected, mats[n].T, n + 1)
+    return sv.FactorSet(*mats), np.ascontiguousarray(projected)

@@ -87,24 +87,19 @@ def test_decompose_run_layout(synth_dir, tmp_path, capsys):
                       "t_factor_ms,t_core_ms,t_eval_ms,t_other_ms")
 
 
-def test_old_core_files_refused_by_decompose_and_synth(synth_dir, tmp_path, capsys):
-    # decompose --out and synth's truth/ refuse a directory that holds files of
-    # the old core_<n>.dten layout, exit 1 and leave every file there alone
-    run, data = tmp_path / "old_run", tmp_path / "old_data"
-    for d in (run, data / "truth"):
-        d.mkdir(parents=True)
-        for i in range(2):
-            write_tensor(d / f"core_{i}.dten", np.zeros((3, 3, 4)))
-    code, _, err = run_cli(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",
-                            "--max-iter", "2", "--out", str(run)], capsys)
-    assert code == 1 and "2 core_<n>.dten file" in err and "core_0.dten" in err
-    assert sorted(p.name for p in run.iterdir()) == ["core_0.dten", "core_1.dten"]
-    spec = tmp_path / "spec.json"
-    spec.write_text(json.dumps({"m": 6, "shape": [4, 4, 2], "ranks": [2, 2, 2]}))
-    code, _, err = run_cli(["synth", "--spec", str(spec), "--out", str(data)], capsys)
-    assert code == 1 and "truth" in err and "core_0.dten" in err
-    assert sorted(p.name for p in data.iterdir()) == ["truth"]
-    assert sorted(p.name for p in (data / "truth").iterdir()) == ["core_0.dten", "core_1.dten"]
+def test_eval_of_run_without_core_stack_exits_1(synth_dir, tmp_path, capsys):
+    # a run directory with no cores.dten (one of the old per-sample core_<n>.dten
+    # layout, say) ends eval in one "error:" line naming the missing file
+    run = tmp_path / "old_run"
+    run.mkdir()
+    for n in (1, 2, 3):
+        write_tensor(run / f"u{n}.dten", np.eye(4)[:, :3])
+    for i in range(2):
+        write_tensor(run / f"core_{i}.dten", np.zeros((3, 3, 3)))
+    code, out, err = run_cli(["eval", "--run", str(run),
+                              "--manifest", str(synth_dir / "manifest.csv")], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and str(run / "cores.dten") in err and err.count("\n") == 1
 
 
 def test_decompose_deterministic_byte_identical(synth_dir, tmp_path, capsys):
@@ -232,6 +227,24 @@ def test_non_finite_samples_exit_1(synth_dir, tmp_path, capsys):
             assert code == 1, cmd
             assert err.startswith("error: samples are not finite") and err.count("\n") == 1
             assert "at samples [5]" in err, err
+
+
+def test_eval_of_matrix_samples_exits_1(synth_dir, tmp_path, capsys):
+    # samples that are matrices, not order-3 tensors, end eval in one "error:" line
+    run = tmp_path / "run"
+    assert main(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",
+                 "--max-iter", "2", "--out", str(run)]) == 0
+    flat = tmp_path / "flat"
+    flat.mkdir()
+    for i in range(12):
+        write_tensor(flat / f"m_{i}.dten", np.full((6, 6), float(i)))
+    (flat / "manifest.csv").write_text("".join(f"m_{i}.dten\n" for i in range(12)))
+    capsys.readouterr()
+    code, out, err = run_cli(["eval", "--run", str(run),
+                              "--manifest", str(flat / "manifest.csv")], capsys)
+    assert code == 1 and out == ""
+    assert err == ("error: expected stacks of order-3 samples and cores and three factors, "
+                   "got shapes (12, 6, 6) and (12, 3, 3, 4) and 3 factors\n")
 
 
 @pytest.mark.filterwarnings("error")

@@ -373,11 +373,18 @@ def test_run_directory_roundtrip(tmp_path):
 
 
 def test_load_run_missing_cores(tmp_path):
-    (tmp_path / "empty").mkdir()
+    # read_tensor's OSError names the missing file, also beside files of the old
+    # per-sample core_<n>.dten layout
+    run = tmp_path / "empty"
+    run.mkdir()
     for n in (1, 2, 3):
-        write_tensor(tmp_path / "empty" / f"u{n}.dten", np.eye(3))
-    with pytest.raises(ValueError, match="core"):
-        load_run(tmp_path / "empty")
+        write_tensor(run / f"u{n}.dten", np.eye(3))
+    for old in (False, True):
+        if old:
+            for i in range(3):
+                write_tensor(run / f"core_{i:04d}.dten", np.zeros((3, 3, 3)))
+        with pytest.raises(OSError, match=r"empty/cores\.dten"):
+            load_run(run)
 
 
 def test_load_run_orders_cores_by_integer_index(tmp_path):
@@ -427,28 +434,6 @@ def test_load_run_rejects_non_finite_factors_and_cores(tmp_path):
             with pytest.raises(ValueError, match=rf"non-finite entries \(NaN or inf\) in {name}$"):
                 load_run(tmp_path)
         write_tensor(tmp_path / name, t)
-
-
-def test_load_run_rejects_old_per_core_layout(tmp_path):
-    for n in (1, 2, 3):
-        write_tensor(tmp_path / f"u{n}.dten", np.eye(2))
-    for i in range(3):
-        write_tensor(tmp_path / f"core_{i:04d}.dten", np.zeros((2, 2, 2)))
-    with pytest.raises(ValueError, match=r"core_<n>\.dten layout are not read"):
-        load_run(tmp_path)
-
-
-def test_save_run_refuses_directory_with_old_core_files(tmp_path):
-    # a run directory of the old per-core layout is neither mixed with the
-    # new one nor cleaned up: save_run names a stale file and the count
-    for i in range(3):
-        write_tensor(tmp_path / f"core_{i:04d}.dten", np.zeros((2, 2, 2)))
-    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    factors = FactorSet(np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1)))
-    result = SolveResult(factors, np.ones((1, 1, 1, 1)), SolverTrace(), "max_iter", 0)
-    with pytest.raises(ValueError, match=r"holds 3 core_<n>\.dten file.*core_0000\.dten"):
-        save_run(tmp_path, result, {})
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
 
 def test_trace_csv_columns_follow_iteration_record(tmp_path):

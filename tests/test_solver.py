@@ -35,7 +35,8 @@ from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
 from graphs import from_dense
-from sweep import core_prox, joint_span_relative_error, sequential_core_sweep, update_core
+from sweep import (core_prox, joint_span_relative_error, loop_init_state, sequential_core_sweep,
+                   update_core)
 
 
 def random_factors(rng, shape, ranks):
@@ -135,6 +136,15 @@ def test_objective_shape_mismatch():
     x, cores, factors = make_instance(rng)
     with pytest.raises(ValueError):
         objective(x, cores[:2], factors, None, SolverConfig())
+    # stacks of matrices, samples or cores, and two or four factors: a ValueError, not
+    # an IndexError
+    for xs, cs, fs in [(x[..., 0], cores, factors), (x, cores[..., 0], factors),
+                       (x[..., 0], cores[..., 0], factors), (x, cores, factors[:2]),
+                       (x, cores, factors + factors[:1])]:
+        with pytest.raises(ValueError, match="order-3 samples and cores and three factors"):
+            objective(xs, cs, fs, None, SolverConfig())
+        with pytest.raises(ValueError, match="order-3 samples and cores and three factors"):
+            stationarity_residual(xs, cs, fs, None, SolverConfig())
 
 
 # ------------------------------------------------------------ factor update
@@ -199,24 +209,27 @@ def test_factor_cross_product_matches_phi_route():
 
 
 def test_factor_cross_product_peak_memory_below_half_a_projection():
-    # B contracts the C-order projection and cores with no copy of either: on
-    # M=300 samples of 48x48x8 at ranks (6, 6, 4), a projection of up to ~5 slabs
-    # of ~1 MB, the traced peak stays below 0.3 of the projection in every mode
+    # B contracts the C-order prefix projection (X, Z_1, Z_12) and the cores expanded
+    # ~1 MB of it at a time, with no copy of either: on M=300 samples of 48x48x8 at ranks
+    # (6, 6, 4), a projection of up to ~5 slabs of ~1 MB, the traced peak stays below 0.3
+    # of Z_1 and Z_12 in modes 2 and 3. Mode 1 forms no projection, with X passed in or
+    # not: its peak stays below 0.1 of X x_2 U_2^T
     rng = np.random.default_rng(0)
     x = rng.standard_normal((300, 48, 48, 8))
     factors = random_factors(rng, x.shape[1:], (6, 6, 4))
     cores = rng.standard_normal((300, 6, 6, 4))
-    for n in range(3):
-        other = [k for k in range(2) if k != n]
-        y = sv.multi_mode_product(x, [factors[k] for k in other], modes=[k + 1 for k in other],
-                                  transpose=True)
+    z1 = sv.mode_product(x, factors[0].T, 1)
+    z12 = sv.mode_product(z1, factors[1].T, 2)
+    y_bytes = x.nbytes * 6 // 48
+    for n, z, bound in [(0, x, 0.1 * y_bytes), (0, None, 0.1 * y_bytes),
+                        (1, z1, 0.3 * z1.nbytes), (2, z12, 0.3 * z12.nbytes)]:
         tracemalloc.start()
         try:
-            sv._factor_cross_product(x, cores, factors, n, projected=y)
+            sv._factor_cross_product(x, cores, factors, n, projected=z)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 0.3 * y.nbytes, (n, peak / y.nbytes)
+        assert peak < bound, (n, peak / bound)
 
 
 # ------------------------------------------------------ shared projections
@@ -249,13 +262,13 @@ def test_solve_sweep_matches_replay_from_raw_stack(ranks):
 
 @pytest.mark.parametrize("ranks", SWEEP_RANKS)
 def test_update_factor_with_and_without_projection_agree(ranks):
-    # the projections the sweep passes in (X x_2 U_2^T for mode 1, Z_1 = X x_1 U_1^T
-    # for mode 2 and Z_1 x_2 U_2^T for mode 3) give the same factor, bitwise
+    # the projections the sweep passes in (X for mode 1, Z_1 = X x_1 U_1^T for mode 2
+    # and Z_12 = Z_1 x_2 U_2^T for mode 3) give the same factor, bitwise
     x, _ = generate(SynthSpec(seed=4))
     factors, cores = init_state(x, ranks)
     u1, u2, u3 = factors
     z1 = sv.mode_product(x, u1.T, 1)
-    projections = [sv.mode_product(x, u2.T, 2), z1, sv.mode_product(z1, u2.T, 2)]
+    projections = [x, z1, sv.mode_product(z1, u2.T, 2)]
     for n, y in enumerate(projections):
         assert_array_equal(update_factor(x, cores, factors, n, y),
                            update_factor(x, cores, factors, n))
@@ -665,6 +678,10 @@ def test_solve_input_validation():
         solve(np.zeros((3, 3, 3)), None, (2, 2, 2))          # not a 4-way stack
     with pytest.raises(ValueError):
         solve(np.zeros((2, 3, 3, 3)), None, (4, 2, 2))       # rank > extent
+    # two ranks, four, and a fractional one: none is read as three ranks
+    for ranks in [(2, 2), (2, 2, 3, 1), (2.7, 2, 3)]:
+        with pytest.raises(ValueError, match="three integers"):
+            solve(np.ones((2, 3, 3, 3)), None, ranks)
     with pytest.raises(ValueError):
         SolverConfig(gamma=0.0)
     with pytest.raises(ValueError):
@@ -728,6 +745,19 @@ def test_solve_does_not_stall_above_generator_point():
             ref_cores[truth.labels == c] = d[truth.labels == c].mean(axis=0)
         ref, *_ = objective(x, ref_cores, truth.factors, g, config)
         assert res.trace.records[-1].objective <= 1.5 * ref
+
+
+@pytest.mark.parametrize("seed, ranks", [(0, (5, 5, 6)), (1, (16, 16, 6)), (2, (1, 1, 1)),
+                                         (3, (16, 5, 6)), (4, (3, 16, 2))])
+def test_init_state_is_the_per_mode_loop(seed, ranks):
+    # the start walks the sweep's projections and gives the per-mode loop's bits
+    x, _ = generate(SynthSpec(seed=seed))
+    factors, cores = init_state(x, ranks)
+    want_factors, want_cores = loop_init_state(x, ranks)
+    for got, want in zip(factors, want_factors):
+        assert_array_equal(got, want)
+    assert_array_equal(cores, want_cores)
+    assert cores.flags.c_contiguous
 
 
 def test_init_state_does_not_collide_with_generator_seed():
