@@ -373,18 +373,24 @@ def test_run_directory_roundtrip(tmp_path):
 
 
 def test_load_run_missing_cores(tmp_path):
-    # read_tensor's OSError names the missing file, also beside files of the old
-    # per-sample core_<n>.dten layout
+    # read_tensor's OSError names the missing file
     run = tmp_path / "empty"
     run.mkdir()
     for n in (1, 2, 3):
         write_tensor(run / f"u{n}.dten", np.eye(3))
-    for old in (False, True):
-        if old:
-            for i in range(3):
-                write_tensor(run / f"core_{i:04d}.dten", np.zeros((3, 3, 3)))
-        with pytest.raises(OSError, match=r"empty/cores\.dten"):
-            load_run(run)
+    with pytest.raises(OSError, match=r"empty/cores\.dten"):
+        load_run(run)
+
+
+def test_load_run_rejects_old_per_core_layout(tmp_path):
+    # a directory of the old per-sample core_<n>.dten layout is a run without
+    # cores.dten: the OSError names that file, the old files are not read
+    for n in (1, 2, 3):
+        write_tensor(tmp_path / f"u{n}.dten", np.eye(2))
+    for i in range(3):
+        write_tensor(tmp_path / f"core_{i:04d}.dten", np.zeros((2, 2, 2)))
+    with pytest.raises(OSError, match=r"cores\.dten"):
+        load_run(tmp_path)
 
 
 def test_load_run_orders_cores_by_integer_index(tmp_path):
