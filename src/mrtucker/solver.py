@@ -26,7 +26,7 @@ import numpy as np
 
 from .graph import WeightGraph, zero_graph
 from .linalg import qf, thin_svd
-from .tensor import (_CHUNK_FLOATS, L0_TOL, _chunks, _mode_gram, _stack_norm, mode_product,
+from .tensor import (_CHUNK_FLOATS, L0_TOL, _chunks, _mode_gram, _sample_stack, mode_product,
                      multi_mode_product)
 
 _CACHE_FLOATS = 2 ** 15    # ~256 KB of doubles: a chunk that stays in cache
@@ -105,8 +105,9 @@ def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
     return multi_mode_product(cores, [factors[n] for n in order], modes=[n + 1 for n in order])
 
 
-def _check_shapes(samples, cores, factors):
-    """samples and cores as float64 arrays, or a ValueError when the shapes disagree."""
+def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
+    """(samples, cores, graph): the stacks as float64 arrays and the graph over their M
+    samples (zero_graph(M) for None), or a ValueError when the shapes or counts disagree."""
     samples = np.asarray(samples, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
     if samples.ndim != 4 or cores.ndim != 4 or len(factors) != 3:
@@ -119,15 +120,17 @@ def _check_shapes(samples, cores, factors):
         expected = (samples.shape[n + 1], cores.shape[n + 1])
         if u.shape != expected:
             raise ValueError(f"factor {n} has shape {u.shape}, expected {expected}")
-    return samples, cores
+    graph = zero_graph(len(samples)) if graph is None else graph
+    if graph.m != len(samples):
+        raise ValueError(f"graph over {graph.m} samples for a stack of {len(samples)}")
+    return samples, cores, graph
 
 
 def objective(samples, cores, factors, graph: WeightGraph | None,
               config: SolverConfig) -> tuple[float, float, float, float]:
     """(total, l1_term, fit_term, manifold_term) of the objective."""
-    samples, cores = _check_shapes(samples, cores, factors)
-    edges = (graph or zero_graph(samples.shape[0])).edges()
-    return _terms(cores, _fit(samples, cores, factors), edges, config)[:4]
+    samples, cores, graph = _check_shapes(samples, cores, factors, graph)
+    return _terms(cores, _fit(samples, cores, factors), graph.edges(), config)[:4]
 
 
 def _fit(samples, cores, factors) -> float:
@@ -296,9 +299,13 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     start has to be data-driven: the Gauss-Seidel core sweep moves each graph
     component's core consensus by only beta / (beta + 2 s_i) of its gap per
     sweep, so a solve keeps the consensus its start gives. The start draws no
-    random numbers.
+    random numbers. Ranks must be three integers within the extents.
     """
-    samples, mats = np.asarray(samples, dtype=np.float64), [None] * 3
+    samples, mats, ranks = np.asarray(samples, dtype=np.float64), [None] * 3, tuple(ranks)
+    extents = samples.shape[1:]
+    if (len(ranks), len(extents)) != (3, 3) or not all(
+            isinstance(r, numbers.Integral) and 1 <= r <= e for r, e in zip(ranks, extents)):
+        raise ValueError(f"ranks {ranks} are not three integers within extents {extents}")
     d = _factor_phase(samples, mats, lambda n, z: thin_svd(_mode_gram(z, n + 1))[0][:, :ranks[n]])
     return FactorSet(*mats), d.reshape(len(samples), *(u.shape[1] for u in mats))
 
@@ -325,19 +332,10 @@ def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> f
 def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None = None,
           ) -> SolveResult:
     """Run the BCD scheme until |dL| / ||X||_F < zeta or max_iter sweeps."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 4 or samples.shape[0] < 1:
-        raise ValueError("expected a nonempty stack of order-3 samples")
-    ranks = tuple(ranks)
-    if len(ranks) != 3 or not all(isinstance(r, numbers.Integral) and 1 <= r <= e
-                                  for r, e in zip(ranks, samples.shape[1:])):
-        raise ValueError(f"ranks {ranks} are not three integers within extents "
-                         f"{samples.shape[1:]}")
+    samples, norm_x = _sample_stack(samples)     # before init_state's Gram matrices
     config = config or SolverConfig()
-    graph = graph or zero_graph(samples.shape[0])
-
-    norm_x = _stack_norm(samples)       # before init_state's Gram matrices
     factors, cores = init_state(samples, ranks)
+    graph = _check_shapes(samples, cores, factors, graph)[2]
     mats = list(factors)                 # updated in place, one mode at a time
     flat = cores.reshape(len(cores), -1)     # a view: the core sweep writes through it
     edges = graph.edges()
@@ -404,8 +402,7 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     graph component's cores together can be large while every core residual
     is small. Both vanish at stationary points.
     """
-    samples, cores = _check_shapes(samples, cores, factors)
-    graph = graph or zero_graph(samples.shape[0])
+    samples, cores, graph = _check_shapes(samples, cores, factors, graph)
 
     factor_res = np.zeros(3)
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .linalg import qf
 from .solver import FactorSet, _check_shapes, _fit, reconstruct
-from .tensor import L0_TOL, _stack_norm
+from .tensor import L0_TOL, _sample_stack
 
 
 @dataclass
@@ -144,8 +144,8 @@ class EvalReport:
 
 
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4) -> EvalReport:
-    samples, cores = _check_shapes(samples, cores, factors)
-    denom = max(_stack_norm(samples), np.finfo(float).tiny)     # names non-finite samples
+    samples, cores, _ = _check_shapes(samples, cores, factors)
+    denom = max(_sample_stack(samples)[1], np.finfo(float).tiny)    # names non-finite samples
     return EvalReport(
         reconstruction_re=float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom),
         core_sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),

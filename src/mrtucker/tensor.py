@@ -111,13 +111,16 @@ def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndar
     return out
 
 
-def _stack_norm(samples: np.ndarray) -> float:
-    """||X||_F of a sample stack, or a ValueError naming the offending samples
-    when it is not finite (NaN or inf entries, or ||X||^2 beyond float64). A
-    finite ||X||^2 keeps every Gram entry of the stack finite (Cauchy-Schwarz)."""
+def _sample_stack(samples) -> tuple[np.ndarray, float]:
+    """(samples as a float64 stack, ||X||_F), or a ValueError: for an empty stack or one not
+    of order-3 samples, or naming the samples when ||X||_F is not finite (NaN or inf entries,
+    or ||X||^2 beyond float64): a finite ||X||^2 keeps every Gram entry finite (Cauchy-Schwarz)."""
+    samples = np.asarray(samples, dtype=np.float64)
+    if samples.ndim != 4 or samples.shape[0] < 1:
+        raise ValueError("expected a nonempty stack of order-3 samples")
     with np.errstate(over="ignore", invalid="ignore"):     # reported as a ValueError instead
-        return _check_finite(float(np.linalg.norm(samples.ravel())),
-                             (np.vdot(x, x) for x in samples))
+        return samples, _check_finite(float(np.linalg.norm(samples.ravel())),
+                                      (np.vdot(x, x) for x in samples))
 
 
 def _check_finite(norm: float, sq) -> float:

@@ -10,7 +10,6 @@ import math
 import numpy as np
 
 import mrtucker.solver as sv
-from mrtucker.graph import zero_graph
 from mrtucker.linalg import thin_svd
 from mrtucker.tensor import _chunks, _mode_gram, mode_product, multi_mode_product
 
@@ -38,9 +37,8 @@ def sequential_core_sweep(graph, bd, src, dst, config) -> None:
 def update_core(samples, cores, factors, graph, config, i) -> np.ndarray:
     """Closed-form Gauss-Seidel update of core i (cores j != i held at their
     current values), with D^(i) = X^(i) x_n U_n^T formed here."""
-    samples, cores = sv._check_shapes(samples, cores, factors)
+    samples, cores, graph = sv._check_shapes(samples, cores, factors, graph)
     d_i = multi_mode_product(samples[i], factors, transpose=True)
-    graph = graph or zero_graph(samples.shape[0])
     lo, hi = np.searchsorted(graph.rows, [i, i + 1])
     s_i = graph.row_sums()[i]
     return core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),

@@ -327,6 +327,22 @@ def test_usage_error_exit_code_2(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text, parsed", [("binary", "binary"), ("cosine", "cosine"),
+                                           ("heat", "heat_kernel"), ("heat:abc", None)])
+@pytest.mark.parametrize("command", ["decompose", "graph"])
+def test_weights_parse(command, text, parsed, capsys):
+    # the three names take the default bandwidth; a bandwidth that is not a number is
+    # a usage error naming it
+    args = [command, "m.csv", "--k", "2", "--weights", text, "--out", "o"]
+    if parsed is None:
+        with pytest.raises(SystemExit) as exc:
+            cli.build_parser().parse_args(args)
+        assert exc.value.code == 2
+        assert "bad heat kernel bandwidth in 'heat:abc'" in capsys.readouterr().err
+    else:
+        assert cli.build_parser().parse_args(args).weights == (parsed, cli.DEFAULT_DELTA)
+
+
 @pytest.mark.parametrize("value", ["0", "-1"])
 def test_threads_must_be_positive(value, capsys):
     # a cap of 0 or fewer BLAS threads is a usage error naming the value, not a

@@ -3,6 +3,7 @@ updates (each checked against an independent brute-force oracle), the
 stopping rule, stationarity residuals, and the per-iteration guarantees."""
 
 import dataclasses
+import re
 import tracemalloc
 import warnings
 
@@ -21,6 +22,7 @@ from mrtucker import (
     SynthSpec,
     WeightGraph,
     build_graph,
+    evaluate,
     generate,
     select_ranks,
     objective,
@@ -145,6 +147,34 @@ def test_objective_shape_mismatch():
             objective(xs, cs, fs, None, SolverConfig())
         with pytest.raises(ValueError, match="order-3 samples and cores and three factors"):
             stationarity_residual(xs, cs, fs, None, SolverConfig())
+    # a transposed U_2 and a U_3 of the wrong rank: the per-factor check names the factor
+    for n, u in [(1, factors.u2.T), (2, qf(rng.standard_normal((4, 3))))]:
+        bad = factors._replace(**{f"u{n + 1}": u})
+        msg = re.escape(f"factor {n} has shape {u.shape}, "
+                        f"expected {(x.shape[n + 1], cores.shape[n + 1])}")
+        for call in (lambda: objective(x, cores, bad, None, SolverConfig()),
+                     lambda: stationarity_residual(x, cores, bad, None, SolverConfig()),
+                     lambda: evaluate(x, cores, bad)):
+            with pytest.raises(ValueError, match=msg):
+                call()
+
+
+@pytest.mark.parametrize("extra", [-4, 2])
+def test_graph_over_another_sample_count_is_rejected(extra):
+    # a graph over M - 4 or M + 2 samples: one ValueError naming both counts from
+    # solve, objective and the residual, never rows read past the graph or an IndexError
+    x, _ = generate(SynthSpec(m=12, seed=0))
+    g = build_graph(generate(SynthSpec(m=12 + extra, seed=0))[0], k=3)
+    factors, cores = init_state(x, (5, 5, 6))
+    config = SolverConfig(max_iter=2)
+    msg = rf"graph over {12 + extra} samples for a stack of 12$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: solve(x, g, (5, 5, 6), config),
+                     lambda: objective(x, cores, factors, g, config),
+                     lambda: stationarity_residual(x, cores, factors, g, config)):
+            with pytest.raises(ValueError, match=msg):
+                call()
 
 
 # ------------------------------------------------------------ factor update
@@ -758,6 +788,15 @@ def test_init_state_is_the_per_mode_loop(seed, ranks):
         assert_array_equal(got, want)
     assert_array_equal(cores, want_cores)
     assert cores.flags.c_contiguous
+
+
+@pytest.mark.parametrize("ranks", [(30, 5, 6), (5, 5), (5.5, 5, 6)])
+def test_init_state_rejects_bad_ranks(ranks):
+    # a rank above its extent, two ranks and a fractional one: init_state, which reads
+    # the ranks, rejects them instead of returning a 16 x 16 U_1 for rank 30
+    x, _ = generate(SynthSpec(m=12, seed=0))
+    with pytest.raises(ValueError, match=r"three integers within extents \(16, 16, 6\)"):
+        init_state(x, ranks)
 
 
 def test_init_state_does_not_collide_with_generator_seed():
