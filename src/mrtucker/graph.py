@@ -8,6 +8,7 @@ ranking are broken by lower sample index so construction is deterministic.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +82,8 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     m = samples.shape[0]
     if m < 2:
         raise ValueError("need at least two samples to build a graph")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= m - 1:
         raise ValueError(f"k={k} out of range [1, {m - 1}]")
     if strategy not in STRATEGIES:

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .solver import FactorSet, IterationRecord
+from .tensor import _register_loaded
 
 MAGIC = b"DTEN"
 VERSION = 1
@@ -94,7 +95,8 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
     """Load all tensors listed in a manifest CSV (path[,label] per row).
 
     Paths are resolved relative to the manifest's directory. All tensors must
-    share one shape.
+    share one shape. The stack is read-only (copy it to change it), so the
+    pipeline forms its checked norm and raw mode Grams once.
     """
     base = os.path.dirname(manifest_path)
     rows = []
@@ -136,6 +138,9 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
                              f"expected {shape}")
     labels = [label for _, _, label in rows]
     label_list = None if all(l is None for l in labels) else [l or "" for l in labels]
+    stack.flags.writeable = False
+    stack = stack.view()        # of a read-only owner: it cannot be made writable again
+    _register_loaded(stack)
     return stack, label_list
 
 

@@ -43,8 +43,9 @@ class SolverConfig:
         # beta = inf would make tau = beta / (gamma (beta + 2 s_i)) = inf / inf
         if not (self.gamma > 0 and 0 < self.beta < math.inf and self.zeta > 0):
             raise ValueError("gamma, beta and zeta must be positive, and beta finite")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
+                or self.max_iter < 1:
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 class FactorSet(NamedTuple):
@@ -130,6 +131,7 @@ def objective(samples, cores, factors, graph: WeightGraph | None,
               config: SolverConfig) -> tuple[float, float, float, float]:
     """(total, l1_term, fit_term, manifold_term) of the objective."""
     samples, cores, graph = _check_shapes(samples, cores, factors, graph)
+    _sample_stack(samples)      # names non-finite samples before any arithmetic on them
     return _terms(cores, _fit(samples, cores, factors), graph.edges(), config)[:4]
 
 
@@ -403,7 +405,7 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     is small. Both vanish at stationary points.
     """
     samples, cores, graph = _check_shapes(samples, cores, factors, graph)
-
+    _sample_stack(samples)      # names non-finite samples before any arithmetic on them
     factor_res = np.zeros(3)
 
     def factor_block(n, projected):     # records mode n's residual, keeps U_n

@@ -1,5 +1,6 @@
 """Dense tensor primitives: unfolding, mode products and the mode Grams of a
-sample stack.
+sample stack, with the checked norm and raw mode Grams of each loaded stack formed
+once.
 
 Tensors are plain float64 numpy arrays. The flat-storage convention used by the
 on-disk format and by all unfoldings is first-index-fastest (Fortran order):
@@ -11,6 +12,7 @@ varying fastest (Kolda-Bader convention).
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -20,6 +22,10 @@ L0_TOL = 1e-12
 
 # float64 entries per chunk of a chunked pass over a large array (~1 MB)
 _CHUNK_FLOATS = 2 ** 17
+
+# id -> {"norm": ||X||_F once checked, mode: raw mode Gram} for each live stack that
+# _register_loaded took; an id is unique among live objects, and the entry goes with its stack
+_LOADED: dict[int, dict] = {}
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:
@@ -74,15 +80,44 @@ def _chunks(rows: int, width: int, floats: int = _CHUNK_FLOATS):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
+def _register_loaded(stack: np.ndarray) -> None:
+    """Let _sample_stack and _mode_gram form stack's checked norm and each raw mode Gram
+    at most once while stack lives. It must be read-only, so its values cannot change;
+    a view, slice or copy of it is another object, never served from the registry."""
+    if stack.flags.writeable:
+        raise ValueError("only a read-only stack can share its norm and Grams")
+    _LOADED[id(stack)] = {}
+    weakref.finalize(stack, _LOADED.pop, id(stack), None)
+
+
+def _once(a: np.ndarray, key, form):
+    """form(); for a registered stack a, the value kept under key, formed (read-only) on
+    the first call. A form that raises keeps nothing."""
+    facts = _LOADED.get(id(a))
+    if facts is None:
+        return form()
+    if key not in facts:
+        value = facts[key] = form()
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return facts[key]
+
+
 def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndarray:
     """unfold(a, mode) @ unfold(b, mode).T for a mode >= 1 of two float64 sample stacks
-    (sample axis 0) that agree off that mode: sum_i A^(i)_(n) B^(i)_(n)^T, with no
-    stack-sized copy of C-contiguous stacks. b defaults to a, the mode Gram. The
-    last mode is one GEMM on the C-order (rest, I_n) views; other modes add up
-    ~1 MB slabs of samples, per-sample products batched for mode 1 and the slab's
-    axis moved last for the rest (both stacks take the same row order, so the
-    product does not change); the Gram reuses the moved slab."""
-    b = a if b is None else b
+    (sample axis 0) that agree off that mode: sum_i A^(i)_(n) B^(i)_(n)^T. b defaults to
+    a, the raw mode Gram, formed once per registered stack and then shared read-only."""
+    if b is None:
+        return _once(a, mode, lambda: _gram(a, mode, a))
+    return _gram(a, mode, b)
+
+
+def _gram(a: np.ndarray, mode: int, b: np.ndarray) -> np.ndarray:
+    """_mode_gram's product, with no stack-sized copy of C-contiguous stacks. The last
+    mode is one GEMM on the C-order (rest, I_n) views; other modes add up ~1 MB slabs
+    of samples, per-sample products batched for mode 1 and the slab's axis moved last
+    for the rest (both stacks take the same row order, so the product does not change);
+    the Gram (b is a) reuses the moved slab."""
     if not 1 <= mode < a.ndim:
         raise ValueError(f"mode {mode} is not a sample mode of an order-{a.ndim} stack")
     off = a.shape[:mode] + a.shape[mode + 1:]
@@ -114,13 +149,19 @@ def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndar
 def _sample_stack(samples) -> tuple[np.ndarray, float]:
     """(samples as a float64 stack, ||X||_F), or a ValueError: for an empty stack or one not
     of order-3 samples, or naming the samples when ||X||_F is not finite (NaN or inf entries,
-    or ||X||^2 beyond float64): a finite ||X||^2 keeps every Gram entry finite (Cauchy-Schwarz)."""
+    or ||X||^2 beyond float64): a finite ||X||^2 keeps every Gram entry finite (Cauchy-Schwarz).
+    A registered stack's norm is formed once it first passes, then shared."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim != 4 or samples.shape[0] < 1:
         raise ValueError("expected a nonempty stack of order-3 samples")
+    return samples, _once(samples, "norm", lambda: _stack_norm(samples))
+
+
+def _stack_norm(samples: np.ndarray) -> float:
+    """||X||_F of a float64 stack, checked by _check_finite: one pass over the stack."""
     with np.errstate(over="ignore", invalid="ignore"):     # reported as a ValueError instead
-        return samples, _check_finite(float(np.linalg.norm(samples.ravel())),
-                                      (np.vdot(x, x) for x in samples))
+        return _check_finite(float(np.linalg.norm(samples.ravel())),
+                             (np.vdot(x, x) for x in samples))
 
 
 def _check_finite(norm: float, sq) -> float:

@@ -341,6 +341,19 @@ def test_bad_arguments():
         build_graph(x[:1], k=1)
 
 
+def test_build_graph_rejects_k_that_is_not_an_integer():
+    # 2.5 and 3.0 are not neighbour counts, nor is True (once a k=1 graph with k True);
+    # a numpy integer builds the graph the int does
+    x = np.random.default_rng(8).standard_normal((6, 2, 2, 2))
+    for k in (2.5, 3.0, True):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            build_graph(x, k=k)
+    g, want = build_graph(x, k=np.int64(3)), build_graph(x, k=3)
+    assert g.k == 3
+    for a, b in [(g.rows, want.rows), (g.cols, want.cols), (g.vals, want.vals)]:
+        assert_array_equal(a, b)
+
+
 def test_weight_graph_rejects_permuted_edges():
     # the sweep reads the edge list as row-major: the same W with its nonzeros
     # permuted gave a 3-sweep solve with cores off by up to 8.4, with no error

@@ -718,6 +718,11 @@ def test_solve_input_validation():
         SolverConfig(zeta=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # a fractional sweep count and a bool are not sweep counts; a numpy integer is
+    for max_iter in (2.5, True):
+        with pytest.raises(ValueError, match="max_iter must be an integer"):
+            SolverConfig(max_iter=max_iter)
+    assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
     # beta = inf would give tau = inf / inf; gamma = inf is the no-l1 limit
     with pytest.raises(ValueError, match="beta finite"):
         SolverConfig(beta=np.inf)
@@ -728,16 +733,22 @@ def test_solve_input_validation():
                                         ("scale", [0, 1, 2, 3, 4, 5])])
 def test_solve_rejects_non_finite_input_early(fault, bad):
     # NaN, inf and data whose ||X||^2 overflows fail before init_state: no
-    # RuntimeWarning, one ValueError naming the offending samples
+    # RuntimeWarning, one ValueError naming the offending samples; objective and
+    # stationarity_residual check the stack the same way, before any arithmetic
     x, _ = generate(SynthSpec(m=6, shape=(6, 5, 4), ranks=(2, 2, 4), n_clusters=2))
+    factors, cores = init_state(x, (2, 2, 4))
     if fault == "scale":
         x = x * 1e200
     else:
         x[3, 1, 2, 0] = np.nan if fault == "nan" else np.inf
+    config = SolverConfig()
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"at samples \{bad}"):
-            solve(x, None, (2, 2, 4))
+        for call in (lambda: solve(x, None, (2, 2, 4)),
+                     lambda: objective(x, cores, factors, None, config),
+                     lambda: stationarity_residual(x, cores, factors, None, config)):
+            with pytest.raises(ValueError, match=rf"at samples \{bad}"):
+                call()
 
 
 def test_solver_config_fields():
