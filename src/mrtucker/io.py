@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from .solver import FactorSet, IterationRecord
-from .tensor import _register_loaded
+from .tensor import _frozen
 
 MAGIC = b"DTEN"
 VERSION = 1
@@ -138,10 +138,7 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
                              f"expected {shape}")
     labels = [label for _, _, label in rows]
     label_list = None if all(l is None for l in labels) else [l or "" for l in labels]
-    stack.flags.writeable = False
-    stack = stack.view()        # of a read-only owner: it cannot be made writable again
-    _register_loaded(stack)
-    return stack, label_list
+    return _frozen(stack), label_list
 
 
 def save_decomposition(out_dir, factors, cores) -> Path:

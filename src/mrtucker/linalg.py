@@ -8,6 +8,8 @@ reproducible factors. qf needs none: its product does not depend on the signs.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -19,6 +21,13 @@ def _checked(a: np.ndarray, shape: str) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] < a.shape[1] or (shape == "square" and a.shape[0] > a.shape[1]):
         raise ValueError(f"expected a {shape} matrix, got shape {a.shape}")
     return a
+
+
+def _norm(a: np.ndarray) -> float:
+    """Frobenius norm of a finite array, taken at the power-of-two scale of its largest entry:
+    np.linalg.norm(a)'s bits at ordinary scales, and no overflow while the norm fits float64."""
+    e = math.frexp(float(np.abs(a).max(initial=0.0)))[1]
+    return float(np.ldexp(np.linalg.norm(np.ldexp(a, -e)), e))
 
 
 def _signs(u: np.ndarray) -> np.ndarray:
@@ -45,7 +54,7 @@ def qf(a: np.ndarray) -> np.ndarray:
 def sym_eig(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(values descending, matching orthonormal vectors as columns) of a symmetric matrix."""
     a = _checked(a, "square")
-    if np.linalg.norm(a - a.T) > 1e-8 * max(1.0, np.linalg.norm(a)):
+    if _norm(a - a.T) > 1e-8 * max(1.0, _norm(a)):
         raise ValueError("matrix is not symmetric")
     vals, vecs = np.linalg.eigh(0.5 * (a + a.T))
     vecs = vecs[:, ::-1]

@@ -38,10 +38,10 @@ def rank_from_spectrum(values: np.ndarray, sigma: float) -> int:
     if vals.size == 0:
         raise ValueError("empty spectrum")
     vals[vals < EIG_ZERO_REL * max(vals.max(), 0.0)] = 0.0
-    total = vals.sum()
-    if total <= 0.0:
+    energy = np.cumsum(vals)
+    if energy[-1] <= 0.0:
         raise ValueError("all-zero spectrum: cannot form energy ratios")
-    ratios = np.cumsum(vals) / total
+    ratios = energy / energy[-1]    # the total from the cumulative sum: the last ratio is 1
     return int(np.searchsorted(ratios, sigma - 1e-15) + 1)
 
 

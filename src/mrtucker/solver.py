@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import WeightGraph, zero_graph
-from .linalg import qf, thin_svd
+from .linalg import _norm, qf, thin_svd
 from .tensor import (_CHUNK_FLOATS, L0_TOL, _chunks, _mode_gram, _sample_stack, mode_product,
                      multi_mode_product)
 
@@ -412,7 +412,7 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
         u, b = factors[n], _factor_cross_product(samples, cores, factors, n, projected)
         grad = u @ _mode_gram(cores, n + 1) - b
         utg = u.T @ grad
-        factor_res[n] = float(np.linalg.norm(grad - u @ (0.5 * (utg + utg.T))))
+        factor_res[n] = _norm(grad - u @ (0.5 * (utg + utg.T)))
         return u
 
     flat = cores.reshape(len(cores), -1)

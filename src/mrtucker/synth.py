@@ -117,6 +117,8 @@ def nearest_centroid(cores: np.ndarray, labels) -> float:
     cores = np.asarray(cores, dtype=np.float64)
     labels = np.asarray(labels)
     flat = cores.reshape(cores.shape[0], -1)
+    if labels.shape != (len(flat),):
+        raise ValueError(f"{labels.size} labels for {len(flat)} cores")
     classes = np.unique(labels)
     if classes.size < 2:
         raise ValueError("need at least two classes")
@@ -146,9 +148,10 @@ class EvalReport:
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4) -> EvalReport:
     samples, cores, _ = _check_shapes(samples, cores, factors)
     denom = max(_sample_stack(samples)[1], np.finfo(float).tiny)    # names non-finite samples
+    accuracy = None if labels is None else nearest_centroid(cores, labels)  # before the k-NN
     return EvalReport(
         reconstruction_re=float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom),
         core_sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
         neighbor_preservation=neighbor_preservation(samples, cores, min(k, samples.shape[0] - 1)),
-        nearest_centroid_accuracy=None if labels is None else nearest_centroid(cores, labels),
+        nearest_centroid_accuracy=accuracy,
     )

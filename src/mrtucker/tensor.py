@@ -24,7 +24,7 @@ L0_TOL = 1e-12
 _CHUNK_FLOATS = 2 ** 17
 
 # id -> {"norm": ||X||_F once checked, mode: raw mode Gram} for each live stack that
-# _register_loaded took; an id is unique among live objects, and the entry goes with its stack
+# _frozen returned; an id is unique among live objects, and the entry goes with its stack
 _LOADED: dict[int, dict] = {}
 
 
@@ -80,14 +80,16 @@ def _chunks(rows: int, width: int, floats: int = _CHUNK_FLOATS):
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
-def _register_loaded(stack: np.ndarray) -> None:
-    """Let _sample_stack and _mode_gram form stack's checked norm and each raw mode Gram
-    at most once while stack lives. It must be read-only, so its values cannot change;
-    a view, slice or copy of it is another object, never served from the registry."""
-    if stack.flags.writeable:
-        raise ValueError("only a read-only stack can share its norm and Grams")
-    _LOADED[id(stack)] = {}
-    weakref.finalize(stack, _LOADED.pop, id(stack), None)
+def _frozen(stack: np.ndarray) -> np.ndarray:
+    """stack (which owns its data) made read-only, as a registered view: while it lives,
+    _sample_stack and _mode_gram form its checked norm and raw mode Grams at most once. A
+    view, slice or copy of it is never served; code that makes view.base writable again
+    and then writes to it gets the stale shared values."""
+    stack.flags.writeable = False
+    view = stack.view()
+    _LOADED[id(view)] = {}
+    weakref.finalize(view, _LOADED.pop, id(view), None)
+    return view
 
 
 def _once(a: np.ndarray, key, form):
@@ -113,11 +115,10 @@ def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndar
 
 
 def _gram(a: np.ndarray, mode: int, b: np.ndarray) -> np.ndarray:
-    """_mode_gram's product, with no stack-sized copy of C-contiguous stacks. The last
-    mode is one GEMM on the C-order (rest, I_n) views; other modes add up ~1 MB slabs
-    of samples, per-sample products batched for mode 1 and the slab's axis moved last
-    for the rest (both stacks take the same row order, so the product does not change);
-    the Gram (b is a) reuses the moved slab."""
+    """_mode_gram's product, with no stack-sized copy of C-contiguous stacks: ~1 MB slabs
+    of samples added up, per-sample products batched for mode 1 and the slab's axis swapped
+    with the last for the rest, a view for the last mode (both stacks take the same row
+    order, so the product does not change); the Gram (b is a) reuses the swapped slab."""
     if not 1 <= mode < a.ndim:
         raise ValueError(f"mode {mode} is not a sample mode of an order-{a.ndim} stack")
     off = a.shape[:mode] + a.shape[mode + 1:]
@@ -125,10 +126,6 @@ def _gram(a: np.ndarray, mode: int, b: np.ndarray) -> np.ndarray:
         raise ValueError(f"stacks of shapes {a.shape} and {b.shape} differ off mode {mode}")
     i_n, j_n = a.shape[mode], b.shape[mode]
     rest = math.prod(off[1:])     # per sample
-    if mode == a.ndim - 1:
-        ya = a.reshape(a.shape[0] * rest, i_n)
-        yb = ya if b is a else b.reshape(b.shape[0] * rest, j_n)
-        return ya.T @ yb
     out = np.zeros((i_n, j_n))
     # per sample, a slab holds I_n * rest entries and its batch of products I_n * J_n
     width = max(i_n, j_n)
@@ -139,8 +136,8 @@ def _gram(a: np.ndarray, mode: int, b: np.ndarray) -> np.ndarray:
             yb = ya if b is a else sb.reshape(sb.shape[0], j_n, rest)
             out += (ya @ yb.transpose(0, 2, 1)).sum(axis=0)
         else:
-            ya = np.moveaxis(sa, mode, -1).reshape(sa.shape[0] * rest, i_n)
-            yb = ya if b is a else np.moveaxis(sb, mode, -1).reshape(sb.shape[0] * rest, j_n)
+            ya = sa.swapaxes(mode, -1).reshape(sa.shape[0] * rest, i_n)
+            yb = ya if b is a else sb.swapaxes(mode, -1).reshape(sb.shape[0] * rest, j_n)
             out += ya.T @ yb
         del ya, yb     # a slab's views and copies go before the next slab's are made
     return out

@@ -45,8 +45,9 @@ def test_loaded_stack_is_read_only(loaded):
         loaded[0] = 0
     with pytest.raises(ValueError):
         loaded.flags.writeable = True
-    with pytest.raises(ValueError, match="read-only"):
-        tensor._register_loaded(np.array(loaded))
+    frozen = tensor._frozen(np.array(loaded))
+    with pytest.raises(ValueError):
+        frozen.flags.writeable = True
 
 
 @pytest.mark.parametrize("copy", [False, True])

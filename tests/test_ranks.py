@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from mrtucker import RankPolicy, select_ranks
+from mrtucker import RankPolicy, SynthSpec, generate, select_ranks
 from mrtucker.ranks import mode_energy_spectrum, rank_from_spectrum
 
 
@@ -31,6 +31,19 @@ def test_rank_from_spectrum_edges():
         rank_from_spectrum(np.array([]), 0.5)
     with pytest.raises(ValueError):
         rank_from_spectrum(np.zeros(3), 0.5)
+
+
+def test_rank_at_sigma_one_stays_within_the_spectrum():
+    # the last energy ratio is exactly 1, so sigma = 1 never asks for one more value than
+    # there are: a stack whose mode-1 energies span four decades, and log-uniform spectra
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((12, 100, 6, 2)) * 10.0 ** rng.uniform(-2, 2, (1, 100, 1, 1))
+    assert select_ranks(x, RankPolicy(sigmas=(1.0, 0.9, 0.9)))[0] <= 100
+    rng = np.random.default_rng(0)
+    for n in (48, 100):
+        for _ in range(2000):
+            spectrum = np.sort(10.0 ** rng.uniform(-8, 8, n))[::-1]
+            assert rank_from_spectrum(spectrum, 1.0) <= n
 
 
 def test_select_ranks_constructed_spectrum():
@@ -113,3 +126,11 @@ def test_non_finite_samples_rejected_before_gram(value):
     x[2, 0, 1, 1] = value
     with pytest.raises(ValueError, match=r"at samples \[2\]"):
         select_ranks(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_select_ranks_at_a_scale_whose_gram_norms_overflow():
+    # Gram entries near 1e160: their squares overflow, but the norms of sym_eig's
+    # symmetry check are taken at a power-of-two scale
+    x, _ = generate(SynthSpec(seed=0))
+    assert select_ranks(x * 2.0 ** 260) == select_ranks(x)

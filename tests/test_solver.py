@@ -751,6 +751,20 @@ def test_solve_rejects_non_finite_input_early(fault, bad):
                 call()
 
 
+def test_factor_residuals_scale_exactly_where_their_squares_overflow():
+    # samples and cores x 2^260 scale every factor residual by exactly 2^520, with no
+    # overflow warning although the squares of the gradient entries overflow
+    x, _ = generate(SynthSpec(seed=0))
+    g, config = build_graph(x, k=4), SolverConfig(max_iter=2)
+    res = solve(x, g, (5, 5, 6), config)
+    want = stationarity_residual(x, res.cores, res.factors, g, config)[0] * 2.0 ** 520
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stationarity_residual(x * 2.0 ** 260, res.cores * 2.0 ** 260, res.factors, g,
+                                    config)[0]
+    assert_array_equal(got, want)
+
+
 def test_solver_config_fields():
     assert [f.name for f in dataclasses.fields(SolverConfig)] == \
         ["gamma", "beta", "zeta", "max_iter"]

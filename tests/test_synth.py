@@ -240,6 +240,15 @@ def test_nearest_centroid_validation():
         nearest_centroid(np.zeros((3, 2)), np.array([0, 1, 1]))  # class of one
 
 
+@pytest.mark.parametrize("count", [12, 30])
+def test_evaluate_rejects_labels_of_another_count(count):
+    # too few labels scored only the first cores; too many indexed past them
+    x, truth = generate(SynthSpec(seed=0))
+    labels = np.arange(count) % 3
+    with pytest.raises(ValueError, match=f"{count} labels for 24 cores"):
+        evaluate(x, truth.cores, truth.factors, labels=labels)
+
+
 def _outcome(classify, cores, labels):
     try:
         return classify(cores, labels)
