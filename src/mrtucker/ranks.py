@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,8 +23,10 @@ class RankPolicy:
     fixed_r3_to_n: bool = True   # keep R_3 = I_3 (mode-3 carries the feature channels)
 
     def __post_init__(self):
-        if len(self.sigmas) != 3 or not all(0.0 < s <= 1.0 for s in self.sigmas):
-            raise ValueError(f"sigmas must be three values in (0, 1], got {self.sigmas}")
+        if np.ndim(self.sigmas) != 1 or len(self.sigmas) != 3 or not all(
+                isinstance(s, numbers.Real) and not isinstance(s, bool) and 0.0 < s <= 1.0
+                for s in self.sigmas):
+            raise ValueError(f"sigmas must be three numbers in (0, 1], got {self.sigmas!r}")
 
 
 def mode_energy_spectrum(samples: np.ndarray, mode: int) -> np.ndarray:

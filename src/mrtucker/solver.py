@@ -26,8 +26,8 @@ import numpy as np
 
 from .graph import WeightGraph, zero_graph
 from .linalg import _norm, qf, thin_svd
-from .tensor import (_CHUNK_FLOATS, L0_TOL, _chunks, _mode_gram, _sample_stack, mode_product,
-                     multi_mode_product)
+from .tensor import (_CHUNK_FLOATS, L0_TOL, _chunks, _gram, _mode_gram, _sample_stack,
+                     mode_product, multi_mode_product)
 
 _CACHE_FLOATS = 2 ** 15    # ~256 KB of doubles: a chunk that stays in cache
 
@@ -41,8 +41,11 @@ class SolverConfig:
 
     def __post_init__(self):
         # beta = inf would make tau = beta / (gamma (beta + 2 s_i)) = inf / inf
-        if not (self.gamma > 0 and 0 < self.beta < math.inf and self.zeta > 0):
-            raise ValueError("gamma, beta and zeta must be positive, and beta finite")
+        for name in ("gamma", "beta", "zeta"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0 \
+                    or name == "beta" and v == math.inf:
+                raise ValueError(f"{name} must be a positive number (beta finite), got {v!r}")
         if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
                 or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
@@ -185,7 +188,7 @@ def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np
             c = cores[s]
             for k in range(2, n, -1):
                 c = mode_product(c, factors[k], k + 1)
-            b += _mode_gram(z[s], n + 1, c)
+            b += _gram(z[s], n + 1, c)
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
     return b

@@ -74,9 +74,10 @@ def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False)
     return out
 
 
-def _chunks(rows: int, width: int, floats: int = _CHUNK_FLOATS):
-    """Slices over `rows` rows of `width` doubles each, `floats` (~1 MB) at a time."""
-    step = max(1, floats // max(1, width))
+def _chunks(rows: int, width: int, floats: int | None = None):
+    """Slices over `rows` rows of `width` doubles each, `floats` (_CHUNK_FLOATS, read at
+    the call) at a time."""
+    step = max(1, (floats or _CHUNK_FLOATS) // max(1, width))
     return (slice(lo, lo + step) for lo in range(0, rows, step))
 
 
@@ -105,42 +106,39 @@ def _once(a: np.ndarray, key, form):
     return facts[key]
 
 
-def _mode_gram(a: np.ndarray, mode: int, b: np.ndarray | None = None) -> np.ndarray:
-    """unfold(a, mode) @ unfold(b, mode).T for a mode >= 1 of two float64 sample stacks
-    (sample axis 0) that agree off that mode: sum_i A^(i)_(n) B^(i)_(n)^T. b defaults to
-    a, the raw mode Gram, formed once per registered stack and then shared read-only."""
-    if b is None:
-        return _once(a, mode, lambda: _gram(a, mode, a))
-    return _gram(a, mode, b)
+def _mode_gram(a: np.ndarray, mode: int) -> np.ndarray:
+    """unfold(a, mode) @ unfold(a, mode).T, the raw mode Gram of a float64 sample stack
+    (sample axis 0) for a mode >= 1: _gram's products over ~1 MB slabs of samples added up,
+    a sample being I_n * max(I_n, rest) doubles (its entries or its batch of products).
+    Formed once per registered stack and then shared read-only."""
+    def form():
+        _check_mode(a, mode)
+        out = np.zeros((a.shape[mode],) * 2)
+        for s in _chunks(len(a), max(a.shape[mode] ** 2, math.prod(a.shape[1:]))):
+            x = a[s]     # one object, so _gram reuses its swapped slab
+            out += _gram(x, mode, x)
+        return out
+    return _once(a, mode, form)
 
 
 def _gram(a: np.ndarray, mode: int, b: np.ndarray) -> np.ndarray:
-    """_mode_gram's product, with no stack-sized copy of C-contiguous stacks: ~1 MB slabs
-    of samples added up, per-sample products batched for mode 1 and the slab's axis swapped
-    with the last for the rest, a view for the last mode (both stacks take the same row
-    order, so the product does not change); the Gram (b is a) reuses the swapped slab."""
+    """sum_i A^(i)_(n) B^(i)_(n)^T for a mode n >= 1 of two float64 sample stacks (sample
+    axis 0) that agree off it, in one product: batched per sample for mode 1, else one GEMM
+    with the mode axis swapped with the last (a copy for the middle mode, a view of a C-order
+    stack for the last; both stacks take the same row order). b is a reuses a's copy."""
     if not 1 <= mode < a.ndim:
         raise ValueError(f"mode {mode} is not a sample mode of an order-{a.ndim} stack")
     off = a.shape[:mode] + a.shape[mode + 1:]
     if b.ndim != a.ndim or b.shape[:mode] + b.shape[mode + 1:] != off:
         raise ValueError(f"stacks of shapes {a.shape} and {b.shape} differ off mode {mode}")
-    i_n, j_n = a.shape[mode], b.shape[mode]
-    rest = math.prod(off[1:])     # per sample
-    out = np.zeros((i_n, j_n))
-    # per sample, a slab holds I_n * rest entries and its batch of products I_n * J_n
-    width = max(i_n, j_n)
-    for s in _chunks(a.shape[0], width * max(width, rest)):
-        sa, sb = a[s], b[s]
-        if mode == 1:
-            ya = sa.reshape(sa.shape[0], i_n, rest)
-            yb = ya if b is a else sb.reshape(sb.shape[0], j_n, rest)
-            out += (ya @ yb.transpose(0, 2, 1)).sum(axis=0)
-        else:
-            ya = sa.swapaxes(mode, -1).reshape(sa.shape[0] * rest, i_n)
-            yb = ya if b is a else sb.swapaxes(mode, -1).reshape(sb.shape[0] * rest, j_n)
-            out += ya.T @ yb
-        del ya, yb     # a slab's views and copies go before the next slab's are made
-    return out
+    m, i_n, j_n, rest = len(a), a.shape[mode], b.shape[mode], math.prod(off[1:])
+    if mode == 1:
+        ya = a.reshape(m, i_n, rest)
+        yb = ya if b is a else b.reshape(m, j_n, rest)
+        return (ya @ yb.transpose(0, 2, 1)).sum(axis=0)
+    ya = a.swapaxes(mode, -1).reshape(m * rest, i_n)
+    yb = ya if b is a else b.swapaxes(mode, -1).reshape(m * rest, j_n)
+    return ya.T @ yb
 
 
 def _sample_stack(samples) -> tuple[np.ndarray, float]:

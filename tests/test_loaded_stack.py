@@ -2,6 +2,7 @@
 raw mode Grams the pipeline forms once, with outputs bitwise equal to a writable copy's;
 views, slices and copies are never served, and the entries go with the stack."""
 
+import contextlib
 import dataclasses
 import gc
 from unittest import mock
@@ -35,9 +36,25 @@ def loaded(tmp_path):
     return load_samples(write_stack(tmp_path, x))[0]
 
 
-def raw_mode1(gram, x):
-    """How many of gram's calls formed the raw mode-1 Gram of stack x."""
-    return sum(c.args[0] is x and c.args[1] == 1 and c.args[2] is x for c in gram.call_args_list)
+@contextlib.contextmanager
+def recording_forms():
+    """tensor._once patched to record (stack, key) each time it forms a value; yields the
+    records."""
+    formed, once = [], tensor._once
+
+    def spy(a, key, form):
+        def recorded():
+            formed.append((a, key))
+            return form()
+        return once(a, key, recorded)
+
+    with mock.patch.object(tensor, "_once", spy):
+        yield formed
+
+
+def raw_mode1(formed, x):
+    """How many of the recorded forms were the raw mode-1 Gram of stack x."""
+    return sum(a is x and key == 1 for a, key in formed)
 
 
 def test_loaded_stack_is_read_only(loaded):
@@ -56,12 +73,12 @@ def test_pipeline_forms_norm_and_raw_mode1_gram_once(loaded, copy):
     # writable copy forms the Gram in select_ranks and init_state, and the norm in each call
     x = np.array(loaded) if copy else loaded
     g = build_graph(x, k=4)
-    with mock.patch.object(tensor, "_gram", wraps=tensor._gram) as gram, \
+    with recording_forms() as formed, \
             mock.patch.object(tensor, "_stack_norm", wraps=tensor._stack_norm) as norm:
         ranks = select_ranks(x)
         res = solve(x, g, ranks, SolverConfig(max_iter=2))
         stationarity_residual(x, res.cores, res.factors, g, SolverConfig())
-    assert (raw_mode1(gram, x), norm.call_count) == ((2, 3) if copy else (1, 1))
+    assert (raw_mode1(formed, x), norm.call_count) == ((2, 3) if copy else (1, 1))
 
 
 @pytest.mark.parametrize("workload", sorted(TINY_WORKLOADS))
@@ -87,16 +104,16 @@ def test_loaded_stack_outputs_equal_a_writable_copys(loaded, workload):
 def test_views_slices_and_copies_are_not_served(loaded):
     tensor._sample_stack(loaded)
     tensor._mode_gram(loaded, 1)
-    with mock.patch.object(tensor, "_gram", wraps=tensor._gram) as gram, \
+    with recording_forms() as formed, \
             mock.patch.object(tensor, "_stack_norm", wraps=tensor._stack_norm) as norm:
         for x in (loaded[1:], loaded.view(), loaded.copy(), np.array(loaded)):
             for _ in range(2):
                 tensor._sample_stack(x)
                 tensor._mode_gram(x, 1)
-            assert raw_mode1(gram, x) == 2
+            assert raw_mode1(formed, x) == 2
         shared = tensor._mode_gram(loaded, 1)
         assert tensor._sample_stack(loaded)[1] == np.linalg.norm(loaded)
-    assert (gram.call_count, norm.call_count) == (8, 8)
+    assert (sum(key == 1 for _, key in formed), norm.call_count) == (8, 8)
     assert shared is tensor._mode_gram(loaded, 1) and not shared.flags.writeable
 
 

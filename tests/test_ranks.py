@@ -108,6 +108,10 @@ def test_policy_validation():
         RankPolicy(sigmas=(0.5, 1.1, 0.5))
     with pytest.raises(ValueError):
         RankPolicy(sigmas=(0.5, 0.5))
+    # True is 1 to Python and "0.9" has three characters: neither is three sigmas
+    for sigmas in [(True,) * 3, "0.9", 0.9]:
+        with pytest.raises(ValueError, match="sigmas must be three numbers"):
+            RankPolicy(sigmas=sigmas)
 
 
 def test_bad_sample_sets():

@@ -2,6 +2,7 @@
 updates (each checked against an independent brute-force oracle), the
 stopping rule, stationarity residuals, and the per-iteration guarantees."""
 
+import contextlib
 import dataclasses
 import re
 import tracemalloc
@@ -37,6 +38,7 @@ from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
 from graphs import from_dense
+from slabs import cut_into_slabs
 from sweep import (core_prox, joint_span_relative_error, loop_init_state, sequential_core_sweep,
                    update_core)
 
@@ -224,7 +226,8 @@ def test_update_factor_nonfinite():
 
 def test_factor_cross_product_matches_phi_route():
     # project-first B against sum_i X_(n) Phi_(n)^T, Phi = G times the other
-    # two factors (the data-sized route), with R_3 < I_3 and R_3 = I_3
+    # two factors (the data-sized route), with R_3 < I_3 and R_3 = I_3; in one
+    # chunk of samples, and in chunks of 1 or 20 floats: one sample each
     rng = np.random.default_rng(30)
     for ranks in [(3, 4, 2), (3, 4, 5)]:
         x, cores, factors = make_instance(rng, m=5, shape=(7, 6, 5), ranks=ranks, noise=0.3)
@@ -234,8 +237,10 @@ def test_factor_cross_product_matches_phi_route():
             phi = sv.multi_mode_product(cores, [mats[k] for k in other],
                                         modes=[k + 1 for k in other])
             expected = tensor.unfold(x, n + 1) @ tensor.unfold(phi, n + 1).T
-            got = sv._factor_cross_product(x, cores, factors, n)
-            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+            for slab in (None, 1, 20):
+                with cut_into_slabs(slab) if slab else contextlib.nullcontext():
+                    got = sv._factor_cross_product(x, cores, factors, n)
+                assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_factor_cross_product_peak_memory_below_half_a_projection():
@@ -718,6 +723,10 @@ def test_solve_input_validation():
         SolverConfig(zeta=-1.0)
     with pytest.raises(ValueError):
         SolverConfig(max_iter=0)
+    # a bool or a string is not a weight or an accuracy: each names its field
+    for field, bad in [("gamma", True), ("zeta", True), ("beta", "1")]:
+        with pytest.raises(ValueError, match=f"{field} must be a positive number"):
+            SolverConfig(**{field: bad})
     # a fractional sweep count and a bool are not sweep counts; a numpy integer is
     for max_iter in (2.5, True):
         with pytest.raises(ValueError, match="max_iter must be an integer"):

@@ -3,7 +3,7 @@ J below and above I_n, size-0 extents, and non-contiguous inputs, against the
 unfolding route and a brute-force sum; and of the stacks' mode Grams and
 two-stack mode contractions against the unfolding route."""
 
-from unittest import mock
+import contextlib
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 from mrtucker import mode_product, multi_mode_product, tensor, unfold
+from slabs import cut_into_slabs
 from test_tensor import fold, mode_product_bruteforce
 
 ENTRIES = st.floats(-8.0, 8.0, allow_nan=False, allow_infinity=False)
@@ -80,32 +81,36 @@ def test_multi_mode_product_transpose_applies_each_in_turn(data):
     assert_array_equal(multi_mode_product(t, mats, modes=modes, transpose=True), expected)
 
 
+def assert_matches_unfold_route(got, ya, yb):
+    """got == ya @ yb.T to the rounding of its partial sums, which |ya| @ |yb|.T bounds
+    (for a Gram, its largest entry is that of ya @ ya.T)."""
+    scale = (np.abs(ya) @ np.abs(yb).T).max(initial=0.0)
+    assert_allclose(got, ya @ yb.T, rtol=1e-13, atol=1e-13 * scale)
+
+
 @given(st.data())
 def test_mode_gram_matches_unfold_route(data):
-    # every sample mode of stacks with M >= 1 and extents 0-4, in any layout
-    # (Fortran order too), accumulated over slabs of one sample up to the whole
-    # stack: the Gram, and the product with a second stack whose extent in that
+    # every sample mode of stacks with extents 0-4, in any layout (Fortran order
+    # too): the raw Gram, accumulated over ~1 MB slabs or over slabs of 1 or 20
+    # floats, the stack then holding more samples than a slab floats so that it
+    # spans several; and _gram's product with a second stack whose extent in that
     # mode is drawn on its own (0-4), each stack C-ordered or Fortran-ordered
-    shape = (data.draw(st.integers(1, 5)),) + tuple(
+    slab = data.draw(st.sampled_from([None, 1, 20]))
+    shape = (data.draw(st.integers(1, 5)) + (slab or 0),) + tuple(
         data.draw(st.lists(st.integers(0, 4), min_size=3, max_size=3)))
     x = data.draw(arrays(shape))
-    slab = data.draw(st.sampled_from([1, 20, tensor._CHUNK_FLOATS]))
-    for mode in (1, 2, 3):
-        y = unfold(x, mode)
-        other = data.draw(arrays(shape[:mode] + (data.draw(st.integers(0, 4)),)
-                                 + shape[mode + 1:]))
-        for b, yb in [(None, y), (other, unfold(other, mode))]:
-            expected = y @ yb.T
-            # |A||B|^T bounds the partial sums; for the Gram its largest entry is max|expected|
-            scale = (np.abs(y) @ np.abs(yb).T).max(initial=0.0)
-            tol = {"rtol": 1e-13, "atol": 1e-13 * scale}
-            with mock.patch.object(tensor, "_CHUNK_FLOATS", slab):
-                for layout in (x, np.asfortranarray(x)):
-                    for b_layout in ([None] if b is None else [b, np.asfortranarray(b)]):
-                        assert_allclose(tensor._mode_gram(layout, mode, b_layout), expected,
-                                        **tol)
+    with cut_into_slabs(slab) if slab else contextlib.nullcontext():
+        for mode in (1, 2, 3):
+            y = unfold(x, mode)
+            other = data.draw(arrays(shape[:mode] + (data.draw(st.integers(0, 4)),)
+                                     + shape[mode + 1:]))
+            for layout in (x, np.asfortranarray(x)):
+                assert_matches_unfold_route(tensor._mode_gram(layout, mode), y, y)
+                for b in (other, np.asfortranarray(other)):
+                    assert_matches_unfold_route(tensor._gram(layout, mode, b), y,
+                                                unfold(other, mode))
     for mode in (0, 4):
         with pytest.raises(ValueError):
             tensor._mode_gram(x, mode)
     with pytest.raises(ValueError):         # the stacks differ off the mode
-        tensor._mode_gram(x, 1, np.zeros(shape[:3] + (shape[3] + 1,)))
+        tensor._gram(x, 1, np.zeros(shape[:3] + (shape[3] + 1,)))
