@@ -11,6 +11,7 @@ import dataclasses
 import json
 import sys
 import time
+from contextlib import nullcontext
 from pathlib import Path
 
 from . import io
@@ -98,15 +99,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _thread_limit(n, flag: str):
-    """Cap BLAS threads at n while the returned limiter is registered; flag
-    names the option that asked for the cap."""
+    """A context that caps BLAS threads at n until it exits, or nullcontext()
+    when no cap applies; flag names the option that asked for the cap."""
     if n is None:
-        return None
+        return nullcontext()
     try:
         from threadpoolctl import threadpool_limits
     except ImportError:
         print(f"warning: threadpoolctl not installed, {flag} ignored", file=sys.stderr)
-        return None
+        return nullcontext()
     return threadpool_limits(limits=n)
 
 
@@ -137,15 +138,12 @@ def cmd_decompose(args) -> int:
                           max_iter=args.max_iter)
     cap, flag = (1, "--deterministic") if args.deterministic else (args.threads, "--threads")
     limiter = _thread_limit(cap, flag)
-    try:        # the cap holds for the residuals too; wall_seconds times the solve alone
+    with limiter:       # the cap holds for the residuals too; wall_seconds times the solve alone
         t0 = time.perf_counter()
         result = solve(samples, g, ranks, config)
         elapsed = time.perf_counter() - t0
         factor_res, core_res = stationarity_residual(samples, result.cores, result.factors,
                                                      g, config)
-    finally:
-        if limiter is not None:
-            limiter.unregister()
     if args.deterministic:
         # the time columns are the trace's nondeterministic ones; zero them so the
         # emitted trace.csv is byte-identical across reruns
@@ -158,7 +156,7 @@ def cmd_decompose(args) -> int:
         "ranks": list(ranks),
         "sigma": list(args.sigma),
         "free_r3": bool(args.free_r3),
-        "threads": cap if limiter is not None else None,    # the BLAS cap applied
+        "threads": None if isinstance(limiter, nullcontext) else cap,    # the BLAS cap applied
         "samples": {"count": int(samples.shape[0]), "shape": list(samples.shape[1:])},
         "iterations": result.n_iter,
         "stop_reason": result.stop_reason,

@@ -88,8 +88,9 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
         raise ValueError(f"k={k} out of range [1, {m - 1}]")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown weight strategy {strategy!r}")
-    if strategy == "heat_kernel" and not delta > 0:
-        raise ValueError("heat kernel bandwidth delta must be positive")
+    if strategy == "heat_kernel" and (isinstance(delta, bool) or not isinstance(
+            delta, numbers.Real) or not delta > 0):
+        raise ValueError(f"heat kernel bandwidth delta must be a positive number, got {delta!r}")
 
     flat = samples.reshape(m, -1)
     with np.errstate(over="ignore", invalid="ignore"):

@@ -176,18 +176,16 @@ def _terms(cores, fit: float, edges, config: SolverConfig):
 
 def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np.ndarray:
     """B_n = sum_i Z^(i)_(n) C^(i)_(n)^T, earlier modes on the data side and later ones on
-    the core side: Z = X x_k U_k^T over modes k < n (X itself for mode 1), C = G x_k U_k over
-    modes k > n, expanded last mode first ~1 MB of Z at a time (the ordering principle of
-    ST-HOSVD, Vannieuwenhoven, Vandebril & Meerbergen 2012). projected: Z, if formed."""
+    the core side, each one multi_mode_product call: Z = X x_k U_k^T over modes k < n (X for
+    mode 1), C = G x_k U_k over modes k > n, last mode first, ~1 MB of Z at a time (ST-HOSVD's
+    ordering, Vannieuwenhoven, Vandebril & Meerbergen 2012). projected: Z, if formed."""
     # non-finite data is reported once, below, instead of as matmul warnings
     with np.errstate(invalid="ignore", over="ignore"):
         z = projected if projected is not None else multi_mode_product(
             samples, factors[:n], modes=range(1, n + 1), transpose=True)
         b = np.zeros((z.shape[n + 1], cores.shape[n + 1]))
         for s in _chunks(len(z), math.prod(z.shape[1:])):
-            c = cores[s]
-            for k in range(2, n, -1):
-                c = mode_product(c, factors[k], k + 1)
+            c = multi_mode_product(cores[s], factors[:n:-1], modes=range(3, n + 1, -1))
             b += _gram(z[s], n + 1, c)
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
@@ -309,7 +307,8 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     samples, mats, ranks = np.asarray(samples, dtype=np.float64), [None] * 3, tuple(ranks)
     extents = samples.shape[1:]
     if (len(ranks), len(extents)) != (3, 3) or not all(
-            isinstance(r, numbers.Integral) and 1 <= r <= e for r, e in zip(ranks, extents)):
+            isinstance(r, numbers.Integral) and not isinstance(r, bool) and 1 <= r <= e
+            for r, e in zip(ranks, extents)):
         raise ValueError(f"ranks {ranks} are not three integers within extents {extents}")
     d = _factor_phase(samples, mats, lambda n, z: thin_svd(_mode_gram(z, n + 1))[0][:, :ranks[n]])
     return FactorSet(*mats), d.reshape(len(samples), *(u.shape[1] for u in mats))

@@ -105,6 +105,8 @@ def _knn_sets(points, k: int) -> list[set[int]]:
 def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:
     """Mean fraction of each sample's k nearest raw-space neighbors retained
     among its k nearest core-space neighbors (ties by index)."""
+    if isinstance(k, bool) or not isinstance(k, Integral):
+        raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k < len(raw):
         raise ValueError(f"k={k} out of range [1, {len(raw) - 1}]")
     pairs = zip(_knn_sets(raw, k), _knn_sets(cores, k))

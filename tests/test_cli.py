@@ -263,15 +263,18 @@ def test_eval_non_finite_run_exit_1(synth_dir, tmp_path, capsys):
 @pytest.fixture()
 def fake_threadpoolctl(monkeypatch):
     """A stand-in threadpoolctl module; events records the limit requests,
-    the solve, the stationarity residual and the limiter's unregister() in the
-    order they happen."""
+    the solve, the stationarity residual and the limiter's exit (as "unregister")
+    in the order they happen."""
     events = []
 
     class Limiter:
         def __init__(self, limits):
             events.append(("limit", limits))
 
-        def unregister(self):
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
             events.append(("unregister",))
 
     def solve(*args, **kwargs):

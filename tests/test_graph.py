@@ -337,6 +337,10 @@ def test_bad_arguments():
         build_graph(x, k=1, strategy="gaussian")
     with pytest.raises(ValueError):
         build_graph(x, k=1, strategy="heat_kernel", delta=0.0)
+    # a bool (once run as delta = 1) and a string (once a TypeError) are not bandwidths
+    for delta in (True, "5"):
+        with pytest.raises(ValueError, match=f"delta must be a positive number, got {delta!r}"):
+            build_graph(x, k=1, strategy="heat_kernel", delta=delta)
     with pytest.raises(ValueError):
         build_graph(x[:1], k=1)
 

@@ -713,8 +713,9 @@ def test_solve_input_validation():
         solve(np.zeros((3, 3, 3)), None, (2, 2, 2))          # not a 4-way stack
     with pytest.raises(ValueError):
         solve(np.zeros((2, 3, 3, 3)), None, (4, 2, 2))       # rank > extent
-    # two ranks, four, and a fractional one: none is read as three ranks
-    for ranks in [(2, 2), (2, 2, 3, 1), (2.7, 2, 3)]:
+    # two ranks, four, a fractional one and a bool (once run as R1 = 1): none is read as
+    # three ranks
+    for ranks in [(2, 2), (2, 2, 3, 1), (2.7, 2, 3), (True, 2, 3)]:
         with pytest.raises(ValueError, match="three integers"):
             solve(np.ones((2, 3, 3, 3)), None, ranks)
     with pytest.raises(ValueError):

@@ -218,6 +218,14 @@ def test_neighbor_preservation_k_validation():
         neighbor_preservation(x, x, 0)
     with pytest.raises(ValueError):
         neighbor_preservation(x, x, 4)
+    # a bool (once run as k = 1) and a fraction (once a TypeError from a slice) are not
+    # neighbour counts, here or through evaluate
+    samples, truth = generate(SynthSpec(m=6, seed=0))
+    for k in (True, 2.5):
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            neighbor_preservation(x, x, k)
+        with pytest.raises(ValueError, match=f"k must be an integer, got {k!r}"):
+            evaluate(samples, truth.cores, truth.factors, k=k)
 
 
 def test_nearest_centroid_one_hot():

@@ -70,15 +70,21 @@ def test_products_on_distinct_modes_commute(data):
 
 @given(st.data())
 def test_multi_mode_product_transpose_applies_each_in_turn(data):
+    # any distinct modes in any order, none included (the mode-3 cross-product's core
+    # side passes no factor), each matrix applied as given or transposed
     shape = tuple(data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)))
     modes = data.draw(st.permutations(range(len(shape))))[:data.draw(
-        st.integers(1, len(shape)))]
+        st.integers(0, len(shape)))]
+    transpose = data.draw(st.booleans())
     t = data.draw(arrays(shape))
-    mats = [data.draw(arrays((shape[m], data.draw(st.integers(0, 6))))) for m in modes]
+    mats = []
+    for m in modes:
+        other = data.draw(st.integers(0, 6))
+        mats.append(data.draw(arrays((shape[m], other) if transpose else (other, shape[m]))))
     expected = t
     for u, m in zip(mats, modes):
-        expected = mode_product(expected, u.T, m)
-    assert_array_equal(multi_mode_product(t, mats, modes=modes, transpose=True), expected)
+        expected = mode_product(expected, u.T if transpose else u, m)
+    assert_array_equal(multi_mode_product(t, mats, modes=modes, transpose=transpose), expected)
 
 
 def assert_matches_unfold_route(got, ya, yb):
