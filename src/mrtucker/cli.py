@@ -54,30 +54,32 @@ def build_parser() -> argparse.ArgumentParser:
         description="Manifold-regularized sparse orthogonal Tucker decomposition",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    ranks_opts = argparse.ArgumentParser(add_help=False)   # options ranks and decompose share
+    ranks_opts.add_argument("--sigma", type=_parse_sigma, default=DEFAULT_SIGMAS,
+                            metavar="A,B,C", help="per-mode energy thresholds")
+    ranks_opts.add_argument("--free-r3", action="store_true",
+                            help="truncate mode 3 by sigma instead of keeping it full")
+    graph_opts = argparse.ArgumentParser(add_help=False)   # options graph and decompose share
+    graph_opts.add_argument("--weights", type=_parse_weights, default=("binary", DEFAULT_DELTA),
+                            metavar="binary|heat:DELTA|cosine")
 
-    p_ranks = sub.add_parser("ranks", help="print adaptively selected ranks")
+    p_ranks = sub.add_parser("ranks", parents=[ranks_opts], help="print adaptively selected ranks")
     p_ranks.add_argument("manifest")
-    p_ranks.add_argument("--sigma", type=_parse_sigma, default=DEFAULT_SIGMAS,
-                         metavar="A,B,C", help="per-mode energy thresholds")
-    p_ranks.add_argument("--free-r3", action="store_true",
-                         help="truncate mode 3 by sigma instead of keeping it full")
+    p_ranks.set_defaults(handler=cmd_ranks)
 
-    p_graph = sub.add_parser("graph", help="build the k-NN weight graph and export edges")
+    p_graph = sub.add_parser("graph", parents=[graph_opts],
+                             help="build the k-NN weight graph and export edges")
     p_graph.add_argument("manifest")
     p_graph.add_argument("--k", type=int, required=True)
-    p_graph.add_argument("--weights", type=_parse_weights, default=("binary", DEFAULT_DELTA),
-                         metavar="binary|heat:DELTA|cosine")
     p_graph.add_argument("--out", required=True, help="edge list CSV path")
+    p_graph.set_defaults(handler=cmd_graph)
 
-    p_dec = sub.add_parser("decompose", help="run the solver and write the run directory")
+    p_dec = sub.add_parser("decompose", parents=[ranks_opts, graph_opts],
+                           help="run the solver and write the run directory")
     p_dec.add_argument("manifest")
     p_dec.add_argument("--gamma", type=float, default=SolverConfig.gamma)
     p_dec.add_argument("--beta", type=float, default=SolverConfig.beta)
     p_dec.add_argument("--k", type=int, default=4)
-    p_dec.add_argument("--weights", type=_parse_weights, default=("binary", DEFAULT_DELTA),
-                       metavar="binary|heat:DELTA|cosine")
-    p_dec.add_argument("--sigma", type=_parse_sigma, default=DEFAULT_SIGMAS, metavar="A,B,C")
-    p_dec.add_argument("--free-r3", action="store_true")
     p_dec.add_argument("--zeta", type=float, default=SolverConfig.zeta)
     p_dec.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
     p_dec.add_argument("--deterministic", action="store_true")
@@ -85,16 +87,19 @@ def build_parser() -> argparse.ArgumentParser:
                        help="cap BLAS threads for the solve and its residuals "
                             "(requires threadpoolctl)")
     p_dec.add_argument("--out", required=True, help="output run directory")
+    p_dec.set_defaults(handler=cmd_decompose)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic sample set")
     p_synth.add_argument("--spec", required=True, help="JSON file of generator settings")
     p_synth.add_argument("--out", required=True, help="output directory")
+    p_synth.set_defaults(handler=cmd_synth)
 
     p_eval = sub.add_parser("eval", help="evaluate a decompose run against its samples")
     p_eval.add_argument("--run", required=True)
     p_eval.add_argument("--manifest", required=True)
     p_eval.add_argument("--k", type=int, default=4, help="neighborhood size for preservation")
     p_eval.add_argument("--json", action="store_true", help="emit a JSON line instead of a table")
+    p_eval.set_defaults(handler=cmd_eval)
     return parser
 
 
@@ -121,8 +126,7 @@ def cmd_ranks(args) -> int:
 
 def cmd_graph(args) -> int:
     samples, _ = io.load_samples(args.manifest)
-    strategy, delta = args.weights
-    g = build_graph(samples, k=args.k, strategy=strategy, delta=delta)
+    g = build_graph(samples, args.k, *args.weights)
     save_edge_list(g, args.out)
     print(f"wrote {args.out}: {len(g.edges()[0])} edges over {g.m} samples")
     return 0
@@ -132,8 +136,7 @@ def cmd_decompose(args) -> int:
     samples, _ = io.load_samples(args.manifest)
     policy = RankPolicy(sigmas=args.sigma, fixed_r3_to_n=not args.free_r3)
     ranks = select_ranks(samples, policy)
-    strategy, delta = args.weights
-    g = build_graph(samples, k=args.k, strategy=strategy, delta=delta)
+    g = build_graph(samples, args.k, *args.weights)
     config = SolverConfig(gamma=args.gamma, beta=args.beta, zeta=args.zeta,
                           max_iter=args.max_iter)
     cap, flag = (1, "--deterministic") if args.deterministic else (args.threads, "--threads")
@@ -145,8 +148,9 @@ def cmd_decompose(args) -> int:
         factor_res, core_res = stationarity_residual(samples, result.cores, result.factors,
                                                      g, config)
     if args.deterministic:
-        # the time columns are the trace's nondeterministic ones; zero them so the
-        # emitted trace.csv is byte-identical across reruns
+        # the times are the run's nondeterministic fields; zero them so the emitted
+        # run directory is byte-identical across reruns
+        elapsed = 0.0
         for rec in result.trace.records:
             rec.wall_ms = rec.t_factor_ms = rec.t_core_ms = rec.t_eval_ms = rec.t_other_ms = 0.0
     summary = {
@@ -208,20 +212,11 @@ def cmd_eval(args) -> int:
     return 0
 
 
-COMMANDS = {
-    "ranks": cmd_ranks,
-    "graph": cmd_graph,
-    "decompose": cmd_decompose,
-    "synth": cmd_synth,
-    "eval": cmd_eval,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        return args.handler(args)
     except (ValueError, OSError, FloatingPointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -35,6 +35,14 @@ class WeightGraph:
     delta: float | None = None
 
     def __post_init__(self):
+        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 0:
+            raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
+        for name in ("rows", "cols", "vals"):
+            a, kind = np.asarray(getattr(self, name)), "" if name == "vals" else "integer "
+            if a.ndim != 1 or kind and not np.issubdtype(a.dtype, np.integer):    # not bool
+                raise ValueError(f"{name} must be a 1-D {kind}array, got {a.dtype} {a.shape}")
+            # intp indices: a narrow or unsigned row-major key below could wrap around
+            setattr(self, name, a.astype(np.intp, copy=False) if kind else a)
         rows, cols, vals = self.rows, self.cols, self.vals
         if not len(rows) == len(cols) == len(vals):
             raise ValueError(f"edge arrays differ in length: {len(rows)}, {len(cols)}, {len(vals)}")

@@ -15,7 +15,6 @@ Tensor file layout (all little-endian):
 from __future__ import annotations
 
 import csv
-import dataclasses
 import json
 import math
 import os
@@ -24,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .solver import FactorSet, IterationRecord
+from .solver import FactorSet
 from .tensor import _frozen
 
 MAGIC = b"DTEN"
@@ -156,9 +155,8 @@ def save_run(out_dir, result, summary: dict) -> None:
     out = save_decomposition(out_dir, result.factors, result.cores)
     with open(out / "trace.csv", "w") as fh:
         fh.write(TRACE_HEADER + "\n")
-        names = [f.name for f in dataclasses.fields(IterationRecord)]
         for rec in result.trace.records:
-            it, *cols = (getattr(rec, name) for name in names)
+            it, *cols = vars(rec).values()      # the record's fields, in declaration order
             fh.write(f"{it}," + ",".join(repr(float(c)) for c in cols) + "\n")
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)

@@ -110,17 +110,17 @@ def test_decompose_deterministic_byte_identical(synth_dir, tmp_path, capsys):
                             "--deterministic", "--out", str(out)], capsys)
         assert code == 0
         runs.append(out)
-    for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]:
+    for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv", "summary.json"]:
         assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes()
+    assert json.loads((runs[0] / "summary.json").read_text())["wall_seconds"] == 0.0
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_decompose_deterministic_byte_identical_at_fixed_blas_threads(tmp_path, threads):
-    # two child processes at the same BLAS thread count write the same bytes (the
-    # summary up to its wall time), on the default graph and on k=48 heat-kernel
-    # weights, whose core sweep batches rows of non-unit weights. Across thread
-    # counts trace.csv's fit_term and RE can differ in the last digits: a threaded
-    # dot product sums in another order
+    # two child processes at the same BLAS thread count write the same bytes, on the
+    # default graph and on k=48 heat-kernel weights, whose core sweep batches rows of
+    # non-unit weights. Across thread counts trace.csv's fit_term and RE can differ in
+    # the last digits: a threaded dot product sums in another order
     spec = tmp_path / "spec.json"
     spec.write_text(json.dumps({"m": 400, "seed": 0}))
     assert main(["synth", "--spec", str(spec), "--out", str(tmp_path / "data")]) == 0
@@ -134,12 +134,9 @@ def test_decompose_deterministic_byte_identical_at_fixed_blas_threads(tmp_path, 
             subprocess.run([sys.executable, "-m", "mrtucker.cli", "decompose",
                             str(tmp_path / "data" / "manifest.csv"), *graph, "--deterministic",
                             "--out", str(out)], env=env, check=True, capture_output=True)
-        for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv"]:
+        for fname in ["u1.dten", "u2.dten", "u3.dten", "cores.dten", "trace.csv",
+                      "summary.json"]:
             assert (runs[0] / fname).read_bytes() == (runs[1] / fname).read_bytes(), fname
-        summaries = [json.loads((out / "summary.json").read_text()) for out in runs]
-        for summary in summaries:
-            summary.pop("wall_seconds")
-        assert summaries[0] == summaries[1]
 
 
 def test_decompose_trace_time_columns(synth_dir, tmp_path, capsys):
@@ -363,9 +360,11 @@ def test_runtime_error_exit_code_1(tmp_path, capsys):
 
 
 def test_sigma_parse_rejects_wrong_arity(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["ranks", "m.csv", "--sigma", "0.9,0.9"])
-    assert exc.value.code == 2
+    for command in (["ranks"], ["decompose", "--out", "o"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "m.csv", "--sigma", "0.9,0.9"])
+        assert exc.value.code == 2
+        assert "expected three comma-separated thresholds" in capsys.readouterr().err
 
 
 def test_documented_failures_exit_code_1(synth_dir, tmp_path, capsys):
@@ -437,6 +436,6 @@ def test_decompose_rejects_manifest_row_without_path(synth_dir, tmp_path, capsys
 def test_programming_errors_are_not_mapped_to_exit_1(monkeypatch):
     def broken(args):
         raise TypeError("a bug")
-    monkeypatch.setitem(cli.COMMANDS, "ranks", broken)
+    monkeypatch.setattr(cli, "cmd_ranks", broken)
     with pytest.raises(TypeError, match="a bug"):
         main(["ranks", "m.csv"])

@@ -382,9 +382,22 @@ def test_weight_graph_checks_its_edge_list():
     ]
     for bad in (0.0, -1.0, np.nan, np.inf):
         cases.append((rows, cols, np.array([1.0, 1.0, bad, 1.0]), "finite and positive"))
+    cases += [      # wrong types, which would otherwise fail only inside solve
+        (rows.astype(float), cols, vals, "rows must be a 1-D integer array"),
+        (rows, cols.astype(bool), vals, "cols must be a 1-D integer array"),
+        (rows[:, None], cols[:, None], vals, "rows must be a 1-D integer array"),
+        (rows, cols, vals[:, None], "vals must be a 1-D array"),
+        # unsigned keys out of order: their row-major differences would wrap around
+        (rows[::-1].astype(np.uint64), cols[::-1].astype(np.uint64), vals, "row-major"),
+    ]
     for r, c, v, message in cases:
         with pytest.raises(ValueError, match=message):
             WeightGraph(3, r, c, v, 1, "binary")
+    for m in (3.0, True, -1, "3"):
+        with pytest.raises(ValueError, match="m must be a non-negative integer"):
+            WeightGraph(m, rows, cols, vals, 1, "binary")
+    g = WeightGraph(3, rows.astype(np.int32).tolist(), cols.astype(np.uint8), vals, 1, "binary")
+    assert g.rows.dtype == g.cols.dtype == np.intp and isinstance(g.vals, np.ndarray)
 
 
 def test_row_sums_zero_graph():
