@@ -201,6 +201,9 @@ def cmd_synth(args) -> int:
 
 def cmd_eval(args) -> int:
     samples, labels = io.load_samples(args.manifest)
+    if unlabelled := [i for i, label in enumerate(labels or []) if not label]:
+        raise ValueError(f"{args.manifest}: samples {unlabelled[:10]} have no label, but "
+                         f"{len(labels) - len(unlabelled)} others do")
     factors, cores, _, _ = io.load_run(args.run)
     d = dataclasses.asdict(evaluate(samples, cores, factors, labels=labels, k=args.k))
     if args.json:

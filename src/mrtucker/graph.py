@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _CHUNK_FLOATS, _check_finite
+from .tensor import _CHUNK_FLOATS, _sample_stack
 
 STRATEGIES = ("binary", "heat_kernel", "cosine")
 
@@ -83,10 +83,10 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     """Build the weight graph over samples (sample axis first).
 
     strategy is one of 'binary', 'heat_kernel', 'cosine'; delta is the
-    heat-kernel bandwidth exp(-d^2/delta). Non-finite or overflowing samples are
-    rejected, naming them, from the squared row norms the distances use.
+    heat-kernel bandwidth exp(-d^2/delta). The samples pass tensor._sample_stack's check,
+    as in select_ranks and solve: a loaded stack's checked norm is formed once.
     """
-    samples = np.asarray(samples, dtype=np.float64)
+    samples, _ = _sample_stack(samples)
     m = samples.shape[0]
     if m < 2:
         raise ValueError("need at least two samples to build a graph")
@@ -101,9 +101,7 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
         raise ValueError(f"heat kernel bandwidth delta must be a positive number, got {delta!r}")
 
     flat = samples.reshape(m, -1)
-    with np.errstate(over="ignore", invalid="ignore"):
-        sq = np.einsum("ij,ij->i", flat, flat)
-        _check_finite(float(np.sqrt(sq.sum())), sq)
+    sq = np.einsum("ij,ij->i", flat, flat)
     # numpy forms X X^T exactly symmetric, so whole rows give d2_ij and d2_ji the same bits
     d2 = flat @ flat.T
     d2 *= -2.0

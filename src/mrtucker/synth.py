@@ -104,11 +104,19 @@ def _knn_sets(points, k: int) -> list[set[int]]:
 
 def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:
     """Mean fraction of each sample's k nearest raw-space neighbors retained
-    among its k nearest core-space neighbors (ties by index)."""
+    among its k nearest core-space neighbors (ties by index). raw passes
+    tensor._sample_stack's check; the cores must match its count and be finite."""
+    raw, _ = _sample_stack(raw)
+    cores = np.asarray(cores, dtype=np.float64)
+    if len(cores) != len(raw):
+        raise ValueError(f"sample and core counts differ: {len(raw)} samples, {len(cores)} cores")
     if isinstance(k, bool) or not isinstance(k, Integral):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k < len(raw):
         raise ValueError(f"k={k} out of range [1, {len(raw) - 1}]")
+    bad = np.flatnonzero(~np.isfinite(cores.reshape(len(cores), -1)).all(axis=1))
+    if bad.size:
+        raise ValueError(f"cores are not finite at samples {bad[:10].tolist()}")
     pairs = zip(_knn_sets(raw, k), _knn_sets(cores, k))
     return float(np.mean([len(a & b) / k for a, b in pairs]))
 

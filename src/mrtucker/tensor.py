@@ -153,16 +153,11 @@ def _sample_stack(samples) -> tuple[np.ndarray, float]:
 
 
 def _stack_norm(samples: np.ndarray) -> float:
-    """||X||_F of a float64 stack, checked by _check_finite: one pass over the stack."""
+    """||X||_F of a float64 stack, or the ValueError naming the samples whose ||X^(i)||^2
+    is not finite: one pass over the stack."""
     with np.errstate(over="ignore", invalid="ignore"):     # reported as a ValueError instead
-        return _check_finite(float(np.linalg.norm(samples.ravel())),
-                             (np.vdot(x, x) for x in samples))
-
-
-def _check_finite(norm: float, sq) -> float:
-    """norm, unless it is not finite: then the ValueError naming the non-finite sq entries."""
-    if not np.isfinite(norm):
-        bad = [i for i, s in enumerate(sq) if not np.isfinite(s)]
-        raise ValueError(f"samples are not finite or overflow float64 (||X||_F = "
-                         f"{norm}); non-finite ||X^(i)||^2 at samples {bad[:10]}")
-    return norm
+        if np.isfinite(norm := float(np.linalg.norm(samples.ravel()))):
+            return norm
+        bad = [i for i, x in enumerate(samples) if not np.isfinite(np.vdot(x, x))]
+    raise ValueError(f"samples are not finite or overflow float64 (||X||_F = "
+                     f"{norm}); non-finite ||X^(i)||^2 at samples {bad[:10]}")

@@ -190,6 +190,29 @@ def test_eval_command(synth_dir, tmp_path, capsys):
     assert code == 0 and "reconstruction_re" in out
 
 
+def test_eval_rejects_partly_labelled_manifest(tmp_path, capsys):
+    # unlabelled rows beside labelled ones are not a class of their own: eval names them
+    # and exits 1. With no label at all, the accuracy is n/a
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"m": 12, "seed": 1, "n_clusters": 2}))
+    data, run = tmp_path / "data", tmp_path / "run"
+    assert main(["synth", "--spec", str(spec), "--out", str(data)]) == 0
+    rows = (data / "manifest.csv").read_text().splitlines()
+    partly, none = data / "partly.csv", data / "none.csv"
+    partly.write_text("".join(r.split(",")[0] + "\n" if i >= 9 else r + "\n"
+                              for i, r in enumerate(rows)))
+    none.write_text("".join(r.split(",")[0] + "\n" for r in rows))
+    assert main(["decompose", str(data / "manifest.csv"), "--max-iter", "3",
+                 "--out", str(run)]) == 0
+    capsys.readouterr()
+    code, out, err = run_cli(["eval", "--run", str(run), "--manifest", str(partly)], capsys)
+    assert code == 1 and out == ""
+    assert err == f"error: {partly}: samples [9, 10, 11] have no label, but 9 others do\n"
+    code, out, _ = run_cli(["eval", "--run", str(run), "--manifest", str(none), "--json"],
+                           capsys)
+    assert code == 0 and json.loads(out)["nearest_centroid_accuracy"] is None
+
+
 def test_eval_rejects_manifest_that_does_not_match_run(synth_dir, tmp_path, capsys):
     run = tmp_path / "run"
     assert main(["decompose", str(synth_dir / "manifest.csv"), "--k", "3",

@@ -327,6 +327,14 @@ def test_build_graph_rejects_non_finite_samples(fault):
         build_graph(samples, k=2)
 
 
+def test_build_graph_takes_the_sample_stack_check():
+    # build_graph's samples pass the one stack check select_ranks and solve use: matrix
+    # samples (an order-3 stack) and an empty stack are rejected with its message
+    for samples in (np.zeros((5, 3, 3)), np.zeros((0, 2, 2, 2))):
+        with pytest.raises(ValueError, match="expected a nonempty stack of order-3 samples"):
+            build_graph(samples, k=1)
+
+
 def test_bad_arguments():
     x = scalar_samples([0.0, 1.0, 2.0])
     with pytest.raises(ValueError):

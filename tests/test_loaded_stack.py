@@ -69,16 +69,17 @@ def test_loaded_stack_is_read_only(loaded):
 
 @pytest.mark.parametrize("copy", [False, True])
 def test_pipeline_forms_norm_and_raw_mode1_gram_once(loaded, copy):
-    # on the loaded stack select_ranks forms both; solve and the residual reuse them. A
-    # writable copy forms the Gram in select_ranks and init_state, and the norm in each call
+    # on the loaded stack select_ranks forms both; build_graph, solve and the residual reuse
+    # them. A writable copy forms the Gram in select_ranks and init_state, and the norm in
+    # each call
     x = np.array(loaded) if copy else loaded
-    g = build_graph(x, k=4)
     with recording_forms() as formed, \
             mock.patch.object(tensor, "_stack_norm", wraps=tensor._stack_norm) as norm:
         ranks = select_ranks(x)
+        g = build_graph(x, k=4)
         res = solve(x, g, ranks, SolverConfig(max_iter=2))
         stationarity_residual(x, res.cores, res.factors, g, SolverConfig())
-    assert (raw_mode1(formed, x), norm.call_count) == ((2, 3) if copy else (1, 1))
+    assert (raw_mode1(formed, x), norm.call_count) == ((2, 4) if copy else (1, 1))
 
 
 @pytest.mark.parametrize("workload", sorted(TINY_WORKLOADS))

@@ -228,6 +228,21 @@ def test_neighbor_preservation_k_validation():
             evaluate(samples, truth.cores, truth.factors, k=k)
 
 
+def test_neighbor_preservation_rejects_bad_stacks():
+    # cores short of the samples (which zip would truncate), a NaN sample and an inf core
+    # are errors, not scores
+    samples, truth = generate(SynthSpec(m=12, seed=0))
+    with pytest.raises(ValueError, match="sample and core counts differ: 12 samples, 10 cores"):
+        neighbor_preservation(samples, truth.cores[:10], 3)
+    raw, cores = samples.copy(), truth.cores.copy()
+    raw[3, 0, 1, 2] = np.nan
+    with pytest.raises(ValueError, match=r"samples are not finite.*at samples \[3\]"):
+        neighbor_preservation(raw, truth.cores, 3)
+    cores[5, 1, 0, 0] = np.inf
+    with pytest.raises(ValueError, match=r"cores are not finite at samples \[5\]"):
+        neighbor_preservation(samples, cores, 3)
+
+
 def test_nearest_centroid_one_hot():
     cores = np.zeros((6, 3, 1, 1))
     labels = np.array([0, 0, 1, 1, 2, 2])
