@@ -8,12 +8,11 @@ ranking are broken by lower sample index so construction is deterministic.
 from __future__ import annotations
 
 import csv
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _CHUNK_FLOATS, _sample_stack
+from .tensor import _CACHE_FLOATS, _chunks, _integer, _real, _sample_stack
 
 STRATEGIES = ("binary", "heat_kernel", "cosine")
 
@@ -25,7 +24,7 @@ DEFAULT_DELTA = 5000.0
 class WeightGraph:
     """The symmetric, nonnegative weight matrix W by its nonzeros, row-major:
     w_ij = vals[e] at (i, j) = (rows[e], cols[e]); no diagonal entry, no stored zero.
-    Construction checks all of that but the symmetry, in O(nnz)."""
+    Construction checks all of that, the symmetry by one sort of the transposed keys."""
     m: int
     rows: np.ndarray
     cols: np.ndarray
@@ -35,7 +34,7 @@ class WeightGraph:
     delta: float | None = None
 
     def __post_init__(self):
-        if isinstance(self.m, bool) or not isinstance(self.m, numbers.Integral) or self.m < 0:
+        if not _integer(self.m) or self.m < 0:
             raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
         for name in ("rows", "cols", "vals"):
             a, kind = np.asarray(getattr(self, name)), "" if name == "vals" else "integer "
@@ -54,6 +53,10 @@ class WeightGraph:
             raise ValueError("diagonal entry in the edge list")
         if not np.all((vals > 0) & (vals < np.inf)):
             raise ValueError("edge weights must be finite and positive")
+        t = np.argsort(cols * self.m + rows)      # W^T's entries in row-major order
+        if not (np.array_equal(cols[t], rows) and np.array_equal(rows[t], cols)
+                and np.array_equal(vals[t], vals)):
+            raise ValueError("edge list not symmetric: some w_ji differs from w_ij or is missing")
 
     @property
     def w(self) -> np.ndarray:
@@ -90,14 +93,13 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     m = samples.shape[0]
     if m < 2:
         raise ValueError("need at least two samples to build a graph")
-    if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+    if not _integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k <= m - 1:
         raise ValueError(f"k={k} out of range [1, {m - 1}]")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown weight strategy {strategy!r}")
-    if strategy == "heat_kernel" and (isinstance(delta, bool) or not isinstance(
-            delta, numbers.Real) or not delta > 0):
+    if strategy == "heat_kernel" and not (_real(delta) and delta > 0):
         raise ValueError(f"heat kernel bandwidth delta must be a positive number, got {delta!r}")
 
     flat = samples.reshape(m, -1)
@@ -106,13 +108,13 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     d2 = flat @ flat.T
     d2 *= -2.0
     connected = np.empty((m, m), dtype=bool)
-    for r in range(0, m, step := _row_block(m)):     # one pass per block, while in cache
-        block = d2[r:r + step]
+    for s in _chunks(m, m, _CACHE_FLOATS):     # one pass per block, while in cache
+        block = d2[s]
         with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
-            block += sq[r:r + step, None] + sq
+            block += sq[s, None] + sq
         np.maximum(block, 0.0, out=block)
-        np.fill_diagonal(block[:, r:], np.inf)
-        _knn_rows(block, k, connected[r:r + step])
+        np.fill_diagonal(block[:, s.start:], np.inf)
+        _knn_rows(block, k, connected[s])
     del block                            # a view: it would keep d2 alive past the cosine del
     connected |= connected.T
     np.fill_diagonal(connected, False)   # an all-inf row can tie with itself
@@ -136,11 +138,6 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     keep = vals > 0.0                    # heat underflow, clipped cosines
     return WeightGraph(m=m, rows=rows[keep], cols=cols[keep], vals=vals[keep], k=k,
                        strategy=strategy, delta=delta if strategy == "heat_kernel" else None)
-
-
-def _row_block(m: int) -> int:
-    """Rows per block of an (M, M) array: M/8, between ~128 KB (or all of it) and ~1 MB."""
-    return max(min(m, _CHUNK_FLOATS // (8 * m)), min(m // 8, _CHUNK_FLOATS // m), 1)
 
 
 def _knn_rows(block: np.ndarray, k: int, out: np.ndarray) -> None:

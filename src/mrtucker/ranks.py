@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import sym_eig
-from .tensor import _mode_gram, _sample_stack
+from .tensor import _mode_gram, _real, _sample_stack
 
 # Gram matrices of exactly low-rank data carry noise-level eigenvalues;
 # values below this fraction of the largest are zeroed before forming ratios.
@@ -24,8 +23,7 @@ class RankPolicy:
 
     def __post_init__(self):
         if np.ndim(self.sigmas) != 1 or len(self.sigmas) != 3 or not all(
-                isinstance(s, numbers.Real) and not isinstance(s, bool) and 0.0 < s <= 1.0
-                for s in self.sigmas):
+                _real(s) and 0.0 < s <= 1.0 for s in self.sigmas):
             raise ValueError(f"sigmas must be three numbers in (0, 1], got {self.sigmas!r}")
 
 

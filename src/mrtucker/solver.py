@@ -17,7 +17,6 @@ s_i = sum_{j != i} w_ij.
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -26,10 +25,8 @@ import numpy as np
 
 from .graph import WeightGraph, zero_graph
 from .linalg import _norm, qf, thin_svd
-from .tensor import (_CHUNK_FLOATS, L0_TOL, _chunks, _gram, _mode_gram, _sample_stack,
-                     mode_product, multi_mode_product)
-
-_CACHE_FLOATS = 2 ** 15    # ~256 KB of doubles: a chunk that stays in cache
+from .tensor import (_CACHE_FLOATS, _CHUNK_FLOATS, L0_TOL, _chunks, _gram, _integer,
+                     _mode_gram, _real, _sample_stack, mode_product, multi_mode_product)
 
 
 @dataclass
@@ -42,12 +39,9 @@ class SolverConfig:
     def __post_init__(self):
         # beta = inf would make tau = beta / (gamma (beta + 2 s_i)) = inf / inf
         for name in ("gamma", "beta", "zeta"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, numbers.Real) or not v > 0 \
-                    or name == "beta" and v == math.inf:
+            if not _real(v := getattr(self, name)) or not v > 0 or name == "beta" and v == math.inf:
                 raise ValueError(f"{name} must be a positive number (beta finite), got {v!r}")
-        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, numbers.Integral) \
-                or self.max_iter < 1:
+        if not _integer(self.max_iter) or self.max_iter < 1:
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
@@ -111,7 +105,8 @@ def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
 
 def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
     """(samples, cores, graph): the stacks as float64 arrays and the graph over their M
-    samples (zero_graph(M) for None), or a ValueError when the shapes or counts disagree."""
+    samples (zero_graph(M) for None), or a ValueError when the shapes or counts disagree
+    or the cores or factors hold a NaN or inf."""
     samples = np.asarray(samples, dtype=np.float64)
     cores = np.asarray(cores, dtype=np.float64)
     if samples.ndim != 4 or cores.ndim != 4 or len(factors) != 3:
@@ -124,6 +119,9 @@ def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
         expected = (samples.shape[n + 1], cores.shape[n + 1])
         if u.shape != expected:
             raise ValueError(f"factor {n} has shape {u.shape}, expected {expected}")
+    if bad := [name for name, t in zip(("cores", "U1", "U2", "U3"), (cores, *factors))
+               if not np.isfinite(t).all()]:
+        raise ValueError(f"non-finite entries (NaN or inf) in {', '.join(bad)}")
     graph = zero_graph(len(samples)) if graph is None else graph
     if graph.m != len(samples):
         raise ValueError(f"graph over {graph.m} samples for a stack of {len(samples)}")
@@ -307,8 +305,7 @@ def init_state(samples, ranks) -> tuple[FactorSet, np.ndarray]:
     samples, mats, ranks = np.asarray(samples, dtype=np.float64), [None] * 3, tuple(ranks)
     extents = samples.shape[1:]
     if (len(ranks), len(extents)) != (3, 3) or not all(
-            isinstance(r, numbers.Integral) and not isinstance(r, bool) and 1 <= r <= e
-            for r, e in zip(ranks, extents)):
+            _integer(r) and 1 <= r <= e for r, e in zip(ranks, extents)):
         raise ValueError(f"ranks {ranks} are not three integers within extents {extents}")
     d = _factor_phase(samples, mats, lambda n, z: thin_svd(_mode_gram(z, n + 1))[0][:, :ranks[n]])
     return FactorSet(*mats), d.reshape(len(samples), *(u.shape[1] for u in mats))

@@ -5,13 +5,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from numbers import Integral, Real
 
 import numpy as np
 
 from .linalg import qf
 from .solver import FactorSet, _check_shapes, _fit, reconstruct
-from .tensor import L0_TOL, _sample_stack
+from .tensor import L0_TOL, _integer, _real, _sample_stack
 
 
 @dataclass
@@ -27,17 +26,15 @@ class SynthSpec:
 
     def __post_init__(self):
         for name in ("shape", "ranks"):         # a JSON spec gives them as lists
-            v = getattr(self, name)
-            if not (isinstance(v, (tuple, list)) and len(v) == 3 and all(
-                    isinstance(e, Integral) and not isinstance(e, bool) and e > 0 for e in v)):
+            if not (isinstance(v := getattr(self, name), (tuple, list)) and len(v) == 3 and all(
+                    _integer(e) and e > 0 for e in v)):
                 raise ValueError(f"{name} must be three positive ints, got {v!r}")
             setattr(self, name, tuple(v))
-        for name in ("m", "n_clusters", "seed"):    # True is an int to Python, not here
-            if isinstance(v := getattr(self, name), bool) or not isinstance(v, Integral):
+        for name in ("m", "n_clusters", "seed"):
+            if not _integer(v := getattr(self, name)):
                 raise ValueError(f"{name} must be an int, got {v!r}")
         for name in ("sparsity", "separation", "noise"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not (isinstance(v, Real) and -math.inf < v < math.inf):
+            if not (_real(v := getattr(self, name)) and -math.inf < v < math.inf):
                 raise ValueError(f"{name} must be a finite real number, got {v!r}")
         if any(r > e for r, e in zip(self.ranks, self.shape)):
             raise ValueError(f"ranks {self.ranks} exceed shape {self.shape}")
@@ -110,7 +107,7 @@ def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:
     cores = np.asarray(cores, dtype=np.float64)
     if len(cores) != len(raw):
         raise ValueError(f"sample and core counts differ: {len(raw)} samples, {len(cores)} cores")
-    if isinstance(k, bool) or not isinstance(k, Integral):
+    if not _integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k < len(raw):
         raise ValueError(f"k={k} out of range [1, {len(raw) - 1}]")

@@ -12,6 +12,7 @@ varying fastest (Kolda-Bader convention).
 from __future__ import annotations
 
 import math
+import numbers
 import weakref
 
 import numpy as np
@@ -20,12 +21,22 @@ import numpy as np
 # only guards against downstream arithmetic noise.
 L0_TOL = 1e-12
 
-# float64 entries per chunk of a chunked pass over a large array (~1 MB)
-_CHUNK_FLOATS = 2 ** 17
+_CHUNK_FLOATS = 2 ** 17    # float64 entries per chunk of a pass over a large array (~1 MB)
+_CACHE_FLOATS = 2 ** 15    # and per chunk that stays in cache (~256 KB)
 
 # id -> {"norm": ||X||_F once checked, mode: raw mode Gram} for each live stack that
 # _frozen returned; an id is unique among live objects, and the entry goes with its stack
 _LOADED: dict[int, dict] = {}
+
+
+def _integer(v) -> bool:
+    """v is an integer, and not a bool (True is an int to Python, not here)."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v) -> bool:
+    """v is a real number, and not a bool."""
+    return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
 def _check_mode(t: np.ndarray, mode: int) -> None:

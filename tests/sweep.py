@@ -1,8 +1,9 @@
 """The sequential core sweep, for checking the solver's slab one: each core
 updated on its own, in sample order, by the single-row prox on the solver's
 elementwise part; the single-core update it repeats, formed from the samples;
-the sweep's RE column by QR in each mode's joint span, for checking the
-core-size one; and the HOSVD start as its own loop over the modes, for checking
+the wavefront levels by their definition, one edge at a time, for checking the
+blocked ones; the sweep's RE column by QR in each mode's joint span, for checking
+the core-size one; and the HOSVD start as its own loop over the modes, for checking
 the one that shares the sweep's projection walk."""
 
 import math
@@ -44,6 +45,17 @@ def update_core(samples, cores, factors, graph, config, i) -> np.ndarray:
     return core_prox(config.beta * d_i.ravel(), cores.reshape(cores.shape[0], -1),
                      (graph.cols[lo:hi], graph.vals[lo:hi]), config.beta + 2.0 * s_i,
                      sv.core_threshold(s_i, config)).reshape(d_i.shape)
+
+
+def edge_levels(graph) -> np.ndarray:
+    """Each row's wavefront level by its definition: level[i] = 1 + max level[j] over its
+    neighbours j < i, or 0 without one, one edge at a time in row-major order (so each
+    level[j], j < i, is final when row i reads it)."""
+    level = np.zeros(graph.m, dtype=np.intp)
+    for i, j in zip(graph.rows.tolist(), graph.cols.tolist()):
+        if j < i:
+            level[i] = max(level[i], level[j] + 1)
+    return level
 
 
 def joint_span_relative_error(prev_cores, prev_factors, cores, factors, norm_x) -> float:

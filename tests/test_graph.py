@@ -1,6 +1,7 @@
 """Weight-graph construction: mutual-OR k-NN connectivity, the three weight
 strategies, tie handling, and the CSV edge-list export."""
 
+import contextlib
 import csv
 import tracemalloc
 from unittest import mock
@@ -15,7 +16,7 @@ from numpy.testing import assert_allclose, assert_array_equal
 from mrtucker import SynthSpec, WeightGraph, build_graph, generate, graph, zero_graph
 from mrtucker.graph import DEFAULT_DELTA, save_edge_list
 
-from graphs import from_dense
+from graphs import WORKLOAD_SPECS, from_dense
 
 
 def scalar_samples(values):
@@ -198,18 +199,12 @@ def gram_distances(samples):
     return np.where(np.tri(len(d2), k=-1, dtype=bool), d2.T, d2)
 
 
-# the benchmark workloads' generator settings and graph degrees
-WORKLOAD_SPECS = {"desk": ({}, 4), "many_samples": ({"m": 1000}, 4),
-                  "large_tensor": ({"m": 100, "shape": (48, 48, 8), "ranks": (10, 10, 8)}, 4),
-                  "dense_graph": ({"m": 400}, 48)}
-
-
 @pytest.mark.parametrize("seed", [0, 17])
 @pytest.mark.parametrize("workload", sorted(WORKLOAD_SPECS))
 def test_build_graph_on_workload_instances_is_the_oracles(workload, seed):
     # real-valued instances at their graph degree: rows, cols and vals bitwise equal to
     # the stable-argsort oracle's on the same Gram-form distances, for every strategy
-    spec, k = WORKLOAD_SPECS[workload]
+    spec, k, _ = WORKLOAD_SPECS[workload]
     samples, _ = generate(SynthSpec(**spec, seed=seed))
     assert_graphs_are_the_oracles(samples, k, DEFAULT_DELTA)
 
@@ -248,14 +243,32 @@ def scaled_real_stacks(draw):
     return np.asfortranarray(samples) if layout == "F" else samples
 
 
-@given(scaled_real_stacks(), st.data(), st.sampled_from([1, 400, graph._CHUNK_FLOATS]))
-def test_whole_row_distances_equal_the_mirrored_gram(samples, data, chunk):
+@contextlib.contextmanager
+def row_blocks(rows: int, m: int):
+    """build_graph's row blocks over M = m samples set to `rows` rows (at most m) by
+    graph._CACHE_FLOATS = rows * m while the body runs; fails unless every block it cut
+    had that many rows, but for a shorter last one."""
+    step, sizes, knn_rows = min(rows, m), [], graph._knn_rows
+
+    def spy(block, k, out):
+        sizes.append(len(block))
+        knn_rows(block, k, out)
+
+    with mock.patch.object(graph, "_CACHE_FLOATS", step * m), \
+            mock.patch.object(graph, "_knn_rows", spy):
+        yield
+    assert sizes and max(sizes) == step and set(sizes) <= {step, m % step}, (step, sizes)
+
+
+@given(scaled_real_stacks(), st.data(), st.sampled_from([1, 3, None]))
+def test_whole_row_distances_equal_the_mirrored_gram(samples, data, rows):
     # each row block forms its whole rows of the Gram form; W must come out bitwise equal
-    # to the oracle's on the mirrored Gram, for every layout and row blocking
+    # to the oracle's on the mirrored Gram, for every layout and for row blocks of one
+    # row, of three rows and of all rows (None)
     m = samples.shape[0]
     k = data.draw(st.integers(1, m - 1))
     delta = 10.0 ** data.draw(st.floats(-3, 4))
-    with mock.patch.object(graph, "_CHUNK_FLOATS", chunk):
+    with row_blocks(rows or m, m):
         assert_graphs_are_the_oracles(samples, k, delta)
 
 
@@ -280,11 +293,11 @@ def assert_knn_tie_rule(samples, delta):
             assert w.tobytes() == stable_argsort_graph(samples, k, strategy, delta).tobytes()
 
 
-@given(tie_heavy_stacks(), st.sampled_from([1, 400, graph._CHUNK_FLOATS]))
-def test_knn_selection_keeps_stable_argsort_tie_rule(samples, chunk):
-    # every k and strategy, with row blocks of one row, of a few rows and of
-    # all rows: W bitwise equal to the stable-argsort oracle's
-    with mock.patch.object(graph, "_CHUNK_FLOATS", chunk):
+@given(tie_heavy_stacks(), st.sampled_from([1, 3, None]))
+def test_knn_selection_keeps_stable_argsort_tie_rule(samples, rows):
+    # every k and strategy, with row blocks of one row, of three rows and of
+    # all rows (None): W bitwise equal to the stable-argsort oracle's
+    with row_blocks(rows or len(samples), len(samples)):
         assert_knn_tie_rule(samples, delta=3.0)
 
 
@@ -395,6 +408,10 @@ def test_weight_graph_checks_its_edge_list():
         (rows, cols.astype(bool), vals, "cols must be a 1-D integer array"),
         (rows[:, None], cols[:, None], vals, "rows must be a 1-D integer array"),
         (rows, cols, vals[:, None], "vals must be a 1-D array"),
+        # W not symmetric: the path's upper or lower edges alone, or w_12 != w_21
+        (rows[[0, 2]], cols[[0, 2]], vals[:2], "not symmetric"),
+        (rows[[1, 3]], cols[[1, 3]], vals[:2], "not symmetric"),
+        (rows, cols, np.array([1.0, 1.0, 2.0, 1.0]), "not symmetric"),
         # unsigned keys out of order: their row-major differences would wrap around
         (rows[::-1].astype(np.uint64), cols[::-1].astype(np.uint64), vals, "row-major"),
     ]

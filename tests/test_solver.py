@@ -37,10 +37,10 @@ from mrtucker import (
 from mrtucker.graph import save_edge_list, zero_graph
 from mrtucker.solver import core_threshold, init_state, reconstruct
 
-from graphs import from_dense
+from graphs import WORKLOAD_SPECS, from_dense
 from slabs import cut_into_slabs
-from sweep import (core_prox, joint_span_relative_error, loop_init_state, sequential_core_sweep,
-                   update_core)
+from sweep import (core_prox, edge_levels, joint_span_relative_error, loop_init_state,
+                   sequential_core_sweep, update_core)
 
 
 def random_factors(rng, shape, ranks):
@@ -548,6 +548,23 @@ def test_grouped_sweep_is_the_sequential_sweep(case):
     assert got.tobytes() == want.tobytes()
 
 
+@given(sweep_cases())
+def test_levels_are_the_per_edge_definition(case):
+    # the 64-row blocked levels equal the per-edge definition on every sweep case's graph
+    g = case[0]
+    assert_array_equal(sv._levels(g), edge_levels(g))
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SPECS))
+def test_levels_on_workload_graphs_are_the_per_edge_definition(workload, seed):
+    # the workloads' graphs at their degree and weights (M = 24 to 1000, so one to
+    # sixteen 64-row blocks): levels equal the per-edge definition's
+    spec, k, strategy = WORKLOAD_SPECS[workload]
+    g = build_graph(generate(SynthSpec(**spec, seed=seed))[0], k, strategy)
+    assert_array_equal(sv._levels(g), edge_levels(g))
+
+
 def test_zero_graph_sweep_is_one_batched_group_of_degree_0():
     # every row in one slab of one run whose batched product of empty rows gives
     # the row path's zeros: the sweep is bitwise the sequential one
@@ -758,6 +775,31 @@ def test_solve_rejects_non_finite_input_early(fault, bad):
                      lambda: objective(x, cores, factors, None, config),
                      lambda: stationarity_residual(x, cores, factors, None, config)):
             with pytest.raises(ValueError, match=rf"at samples \{bad}"):
+                call()
+
+
+@pytest.mark.parametrize("where", ["cores", "U2", "cores, U2"])
+def test_non_finite_cores_or_factors_are_rejected(where):
+    # a NaN in core 4, an inf in U_2, or both: objective, stationarity_residual and
+    # evaluate raise one ValueError naming them, with no RuntimeWarning, nan terms or
+    # blame on the factor update
+    x, _ = generate(SynthSpec(m=12))
+    g = build_graph(x, k=3)
+    factors, cores = init_state(x, (5, 5, 6))
+    if "cores" in where:
+        cores[4, 1, 0, 2] = np.nan
+    if "U2" in where:
+        u2 = factors.u2.copy()
+        u2[3, 1] = np.inf
+        factors = factors._replace(u2=u2)
+    config = SolverConfig()
+    msg = rf"^non-finite entries \(NaN or inf\) in {where}$"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: objective(x, cores, factors, g, config),
+                     lambda: stationarity_residual(x, cores, factors, g, config),
+                     lambda: evaluate(x, cores, factors, k=3)):
+            with pytest.raises(ValueError, match=msg):
                 call()
 
 
