@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import _CACHE_FLOATS, _chunks, _integer, _real, _sample_stack
+from .tensor import _CACHE_FLOATS, _chunks, _integer, _real, _reals, _sample_stack
 
 STRATEGIES = ("binary", "heat_kernel", "cosine")
 
@@ -37,11 +37,12 @@ class WeightGraph:
         if not _integer(self.m) or self.m < 0:
             raise ValueError(f"m must be a non-negative integer, got {self.m!r}")
         for name in ("rows", "cols", "vals"):
-            a, kind = np.asarray(getattr(self, name)), "" if name == "vals" else "integer "
-            if a.ndim != 1 or kind and not np.issubdtype(a.dtype, np.integer):    # not bool
-                raise ValueError(f"{name} must be a 1-D {kind}array, got {a.dtype} {a.shape}")
+            a, index = np.asarray(getattr(self, name)), name != "vals"
+            if a.ndim != 1 or not (np.issubdtype(a.dtype, np.integer) if index else _reals(a)):
+                what = "integer array" if index else "array of real numbers"
+                raise ValueError(f"{name} must be a 1-D {what}, got {a.dtype} {a.shape}")
             # intp indices: a narrow or unsigned row-major key below could wrap around
-            setattr(self, name, a.astype(np.intp, copy=False) if kind else a)
+            setattr(self, name, a.astype(np.intp if index else np.float64, copy=False))
         rows, cols, vals = self.rows, self.cols, self.vals
         if not len(rows) == len(cols) == len(vals):
             raise ValueError(f"edge arrays differ in length: {len(rows)}, {len(cols)}, {len(vals)}")

@@ -44,14 +44,9 @@ def write_tensor(path, t: np.ndarray) -> None:
 
 
 def read_tensor(path) -> np.ndarray:
-    """Read a DTEN file into an owned, writable, C-contiguous array."""
-    return _read_dten(path).copy()
-
-
-def _read_dten(path) -> np.ndarray:
-    """A DTEN file's tensor as a read-only Fortran-order view of its payload bytes, read
-    unbuffered. The file size is checked against the header before the payload is
-    read, so a corrupt header cannot cause a huge allocation."""
+    """Read a DTEN file into an owned, writable, C-contiguous array, unbuffered. The file
+    size is checked against the header before the payload is read, so a corrupt header
+    cannot cause a huge allocation."""
     fd = os.open(path, os.O_RDONLY)
     try:
         size = os.fstat(fd).st_size
@@ -79,7 +74,7 @@ def _read_dten(path) -> np.ndarray:
     if left:
         raise ValueError(f"{path}: truncated payload ({8 * count - left} bytes read, "
                          f"expected {8 * count})")
-    return np.frombuffer(b"".join(parts), dtype="<f8").reshape(shape, order="F")
+    return np.frombuffer(b"".join(parts), dtype="<f8").reshape(shape, order="F").copy()
 
 
 def write_manifest(path, rows) -> None:
@@ -100,7 +95,7 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
     base = os.path.dirname(manifest_path)
     rows = []
     with open(manifest_path, newline="") as fh:
-        reader = csv.reader(fh)
+        reader = csv.reader(fh, strict=True)    # an unclosed quote is an error, not a label
         try:
             for parts in reader:
                 rel, label = ([p.strip() for p in parts] + ["", ""])[:2]
@@ -114,8 +109,8 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
         raise ValueError(f"{manifest_path}: empty manifest")
 
     # the first file by the checked reader; each later one by one readv into fixed-size buffers,
-    # kept if the first file's header and one payload came back, else by _read_dten's checks
-    first = _read_dten(os.path.join(base, rows[0][1]))
+    # kept if the first file's header and one payload came back, else by read_tensor's checks
+    first = read_tensor(os.path.join(base, rows[0][1]))
     stack = np.empty((len(rows),) + first.shape)    # filled in place: no per-file list
     stack[0], shape = first, first.shape
     del first
@@ -130,7 +125,7 @@ def load_samples(manifest_path) -> tuple[np.ndarray, list[str] | None]:
             os.close(fd)
         if got == len(header) + stage.nbytes and head == header:
             stack[n] = stage.T      # the file's one copy: its F-order payload into C order
-        elif (t := _read_dten(path)).shape == shape:
+        elif (t := read_tensor(path)).shape == shape:
             stack[n] = t            # a well-formed file that one readv did not take whole
         else:
             raise ValueError(f"{manifest_path}: row {lineno} ({rel}) has shape {t.shape}, "

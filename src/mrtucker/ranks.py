@@ -41,7 +41,8 @@ def rank_from_spectrum(values: np.ndarray, sigma: float) -> int:
     vals[vals < EIG_ZERO_REL * max(vals.max(), 0.0)] = 0.0
     energy = np.cumsum(vals)
     if energy[-1] <= 0.0:
-        raise ValueError("all-zero spectrum: cannot form energy ratios")
+        raise ValueError("all-zero spectrum: cannot form energy ratios (the samples are 0, "
+                         "or too small to square in float64)")
     ratios = energy / energy[-1]    # the total from the cumulative sum: the last ratio is 1
     return int(np.searchsorted(ratios, sigma - 1e-15) + 1)
 

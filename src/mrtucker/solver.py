@@ -26,7 +26,10 @@ import numpy as np
 from .graph import WeightGraph, zero_graph
 from .linalg import _norm, qf, thin_svd
 from .tensor import (_CACHE_FLOATS, _CHUNK_FLOATS, L0_TOL, _chunks, _gram, _integer,
-                     _mode_gram, _real, _sample_stack, mode_product, multi_mode_product)
+                     _mode_gram, _real, _reals, _sample_stack, mode_product, multi_mode_product)
+
+# the largest orthogonality_defect of factors taken as orthonormal (solved ones read ~1e-15)
+ORTHO_TOL = 1e-10
 
 
 @dataclass
@@ -104,12 +107,11 @@ def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
 
 
 def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
-    """(samples, cores, graph): the stacks as float64 arrays and the graph over their M
-    samples (zero_graph(M) for None), or a ValueError when the shapes or counts disagree
-    or the cores or factors hold a NaN or inf."""
-    samples = np.asarray(samples, dtype=np.float64)
-    cores = np.asarray(cores, dtype=np.float64)
-    if samples.ndim != 4 or cores.ndim != 4 or len(factors) != 3:
+    """(cores, graph): the cores as a float64 stack and the graph over the M samples of
+    _sample_stack's stack (zero_graph(M) for None), or a ValueError when the shapes or
+    counts disagree or the cores or factors hold anything but finite real numbers."""
+    cores = np.asarray(cores)
+    if cores.ndim != 4 or 0 in cores.shape or len(factors) != 3:
         raise ValueError(f"expected stacks of order-3 samples and cores and three factors, got "
                          f"shapes {samples.shape} and {cores.shape} and {len(factors)} factors")
     if samples.shape[0] != cores.shape[0]:
@@ -119,20 +121,22 @@ def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
         expected = (samples.shape[n + 1], cores.shape[n + 1])
         if u.shape != expected:
             raise ValueError(f"factor {n} has shape {u.shape}, expected {expected}")
-    if bad := [name for name, t in zip(("cores", "U1", "U2", "U3"), (cores, *factors))
-               if not np.isfinite(t).all()]:
+    names = ("cores", "U1", "U2", "U3")
+    if bad := [f"{name} ({t.dtype})" for name, t in zip(names, (cores, *factors)) if not _reals(t)]:
+        raise ValueError(f"entries that are not real numbers in {', '.join(bad)}")
+    if bad := [name for name, t in zip(names, (cores, *factors)) if not np.isfinite(t).all()]:
         raise ValueError(f"non-finite entries (NaN or inf) in {', '.join(bad)}")
     graph = zero_graph(len(samples)) if graph is None else graph
     if graph.m != len(samples):
         raise ValueError(f"graph over {graph.m} samples for a stack of {len(samples)}")
-    return samples, cores, graph
+    return cores.astype(np.float64, copy=False), graph
 
 
 def objective(samples, cores, factors, graph: WeightGraph | None,
               config: SolverConfig) -> tuple[float, float, float, float]:
     """(total, l1_term, fit_term, manifold_term) of the objective."""
-    samples, cores, graph = _check_shapes(samples, cores, factors, graph)
-    _sample_stack(samples)      # names non-finite samples before any arithmetic on them
+    samples, _ = _sample_stack(samples)      # names non-finite samples before any arithmetic
+    cores, graph = _check_shapes(samples, cores, factors, graph)
     return _terms(cores, _fit(samples, cores, factors), graph.edges(), config)[:4]
 
 
@@ -336,7 +340,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
     samples, norm_x = _sample_stack(samples)     # before init_state's Gram matrices
     config = config or SolverConfig()
     factors, cores = init_state(samples, ranks)
-    graph = _check_shapes(samples, cores, factors, graph)[2]
+    graph = _check_shapes(samples, cores, factors, graph)[1]
     mats = list(factors)                 # updated in place, one mode at a time
     flat = cores.reshape(len(cores), -1)     # a view: the core sweep writes through it
     edges = graph.edges()
@@ -395,16 +399,20 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     """(factor residuals per mode, core residuals per sample).
 
     Factor residual: Frobenius norm of the fit-term gradient -B + U_n G_(n) G_(n)^T
-    (B the factor update's cross-product; exact for orthonormal factors)
-    projected onto the Stiefel tangent space at U_n. Core residual: distance of
+    (B the factor update's cross-product; exact for orthonormal factors, so factors
+    whose orthogonality_defect exceeds ORTHO_TOL are refused) projected onto the
+    Stiefel tangent space at U_n. Core residual: distance of
     G^(i) from the fixed point of its own prox update, whose step is
     beta / (beta + 2 s_i) (about 1e-7 at the defaults), so it reads in those
     units rather than in gradient units: a gradient of L that moves a whole
     graph component's cores together can be large while every core residual
     is small. Both vanish at stationary points.
     """
-    samples, cores, graph = _check_shapes(samples, cores, factors, graph)
-    _sample_stack(samples)      # names non-finite samples before any arithmetic on them
+    samples, _ = _sample_stack(samples)      # names non-finite samples before any arithmetic
+    cores, graph = _check_shapes(samples, cores, factors, graph)
+    if (defect := FactorSet(*factors).orthogonality_defect()) > ORTHO_TOL:
+        raise ValueError(f"factors are not orthonormal: orthogonality defect {defect:.3g} "
+                         f"exceeds {ORTHO_TOL:g}")
     factor_res = np.zeros(3)
 
     def factor_block(n, projected):     # records mode n's residual, keeps U_n

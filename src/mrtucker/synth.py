@@ -10,7 +10,7 @@ import numpy as np
 
 from .linalg import qf
 from .solver import FactorSet, _check_shapes, _fit, reconstruct
-from .tensor import L0_TOL, _integer, _real, _sample_stack
+from .tensor import L0_TOL, _integer, _real, _reals, _sample_stack
 
 
 @dataclass
@@ -99,31 +99,40 @@ def _knn_sets(points, k: int) -> list[set[int]]:
     return out
 
 
+def _finite_cores(cores) -> np.ndarray:
+    """cores as a float64 stack (sample axis 0), or a ValueError: for cores that are not a
+    nonempty stack of real numbers, or naming the samples whose cores hold a NaN or inf."""
+    cores = np.asarray(cores)
+    if not _reals(cores) or cores.ndim < 1 or 0 in cores.shape:
+        raise ValueError(f"expected a nonempty stack of cores of real numbers, got {cores.dtype} "
+                         f"of shape {cores.shape}")
+    bad = np.flatnonzero(~np.isfinite(cores.reshape(len(cores), -1)).all(axis=1))
+    if bad.size:
+        raise ValueError(f"cores are not finite at samples {bad[:10].tolist()}")
+    return cores.astype(np.float64, copy=False)
+
+
 def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:
     """Mean fraction of each sample's k nearest raw-space neighbors retained
     among its k nearest core-space neighbors (ties by index). raw passes
     tensor._sample_stack's check; the cores must match its count and be finite."""
     raw, _ = _sample_stack(raw)
-    cores = np.asarray(cores, dtype=np.float64)
+    cores = _finite_cores(cores)
     if len(cores) != len(raw):
         raise ValueError(f"sample and core counts differ: {len(raw)} samples, {len(cores)} cores")
     if not _integer(k):
         raise ValueError(f"k must be an integer, got {k!r}")
     if not 1 <= k < len(raw):
         raise ValueError(f"k={k} out of range [1, {len(raw) - 1}]")
-    bad = np.flatnonzero(~np.isfinite(cores.reshape(len(cores), -1)).all(axis=1))
-    if bad.size:
-        raise ValueError(f"cores are not finite at samples {bad[:10].tolist()}")
     pairs = zip(_knn_sets(raw, k), _knn_sets(cores, k))
     return float(np.mean([len(a & b) / k for a, b in pairs]))
 
 
 def nearest_centroid(cores: np.ndarray, labels) -> float:
     """Stratified 50/50 split; classify test cores by nearest class centroid
-    of the train cores (flattened)."""
-    cores = np.asarray(cores, dtype=np.float64)
+    of the train cores (flattened), which must be finite."""
+    flat = _finite_cores(cores).reshape(len(cores), -1)
     labels = np.asarray(labels)
-    flat = cores.reshape(cores.shape[0], -1)
     if labels.shape != (len(flat),):
         raise ValueError(f"{labels.size} labels for {len(flat)} cores")
     classes = np.unique(labels)
@@ -153,11 +162,14 @@ class EvalReport:
 
 
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4) -> EvalReport:
-    samples, cores, _ = _check_shapes(samples, cores, factors)
-    denom = max(_sample_stack(samples)[1], np.finfo(float).tiny)    # names non-finite samples
+    samples, norm_x = _sample_stack(samples)        # names non-finite samples
+    cores, _ = _check_shapes(samples, cores, factors)
+    denom = max(norm_x, np.finfo(float).tiny)
     accuracy = None if labels is None else nearest_centroid(cores, labels)  # before the k-NN
+    with np.errstate(over="ignore"):    # samples too small to square: ||X||_F reads 0, RE inf
+        fit_re = float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom)
     return EvalReport(
-        reconstruction_re=float(np.sqrt(2.0 * _fit(samples, cores, factors)) / denom),
+        reconstruction_re=fit_re,
         core_sparsity=float(np.mean(np.abs(cores) <= L0_TOL)),
         neighbor_preservation=neighbor_preservation(samples, cores, min(k, samples.shape[0] - 1)),
         nearest_centroid_accuracy=accuracy,

@@ -39,6 +39,12 @@ def _real(v) -> bool:
     return isinstance(v, numbers.Real) and not isinstance(v, bool)
 
 
+def _reals(a: np.ndarray) -> bool:
+    """a's entries are real numbers: integers or floats, not bools, complex numbers, objects
+    or strings."""
+    return a.dtype.kind in "iuf"
+
+
 def _check_mode(t: np.ndarray, mode: int) -> None:
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
@@ -153,13 +159,17 @@ def _gram(a: np.ndarray, mode: int, b: np.ndarray) -> np.ndarray:
 
 
 def _sample_stack(samples) -> tuple[np.ndarray, float]:
-    """(samples as a float64 stack, ||X||_F), or a ValueError: for an empty stack or one not
-    of order-3 samples, or naming the samples when ||X||_F is not finite (NaN or inf entries,
-    or ||X||^2 beyond float64): a finite ||X||^2 keeps every Gram entry finite (Cauchy-Schwarz).
-    A registered stack's norm is formed once it first passes, then shared."""
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim != 4 or samples.shape[0] < 1:
-        raise ValueError("expected a nonempty stack of order-3 samples")
+    """(samples as a float64 stack, ||X||_F), or a ValueError: for a stack with a zero extent,
+    one not of order-3 samples or one not of integers or floats (bools, complex numbers,
+    objects and strings are refused, not cast), or naming the samples when ||X||_F is not
+    finite (NaN or inf entries, or ||X||^2 beyond float64): a finite ||X||^2 keeps every Gram
+    entry finite (Cauchy-Schwarz). A registered stack is returned as itself, and its norm is
+    formed once it first passes, then shared."""
+    samples = np.asarray(samples)
+    if not _reals(samples) or samples.ndim != 4 or 0 in samples.shape:
+        raise ValueError(f"expected a nonempty stack of order-3 samples of real numbers, got "
+                         f"{samples.dtype} of shape {samples.shape}")
+    samples = samples.astype(np.float64, copy=False)
     return samples, _once(samples, "norm", lambda: _stack_norm(samples))
 
 

@@ -38,7 +38,8 @@ def sequential_core_sweep(graph, bd, src, dst, config) -> None:
 def update_core(samples, cores, factors, graph, config, i) -> np.ndarray:
     """Closed-form Gauss-Seidel update of core i (cores j != i held at their
     current values), with D^(i) = X^(i) x_n U_n^T formed here."""
-    samples, cores, graph = sv._check_shapes(samples, cores, factors, graph)
+    samples, _ = sv._sample_stack(samples)
+    cores, graph = sv._check_shapes(samples, cores, factors, graph)
     d_i = multi_mode_product(samples[i], factors, transpose=True)
     lo, hi = np.searchsorted(graph.rows, [i, i + 1])
     s_i = graph.row_sums()[i]

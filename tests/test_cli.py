@@ -263,8 +263,8 @@ def test_eval_of_matrix_samples_exits_1(synth_dir, tmp_path, capsys):
     code, out, err = run_cli(["eval", "--run", str(run),
                               "--manifest", str(flat / "manifest.csv")], capsys)
     assert code == 1 and out == ""
-    assert err == ("error: expected stacks of order-3 samples and cores and three factors, "
-                   "got shapes (12, 6, 6) and (12, 3, 3, 4) and 3 factors\n")
+    assert err == ("error: expected a nonempty stack of order-3 samples of real numbers, "
+                   "got float64 of shape (12, 6, 6)\n")
 
 
 @pytest.mark.filterwarnings("error")

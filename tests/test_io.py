@@ -238,7 +238,7 @@ def test_load_samples_later_row_of_other_extents_names_row(tmp_path, shape):
 
 
 def test_load_samples_checks_one_header_in_full(tmp_path):
-    # on a clean manifest only the first row goes through _read_dten: the later rows take
+    # on a clean manifest only the first row goes through read_tensor: the later rows take
     # the one-readv path, none falls back
     rng = np.random.default_rng(6)
     rows = []
@@ -246,7 +246,7 @@ def test_load_samples_checks_one_header_in_full(tmp_path):
         write_tensor(tmp_path / f"s{i}.dten", rng.standard_normal((4, 3, 2)))
         rows.append((f"s{i}.dten", None))
     write_manifest(tmp_path / "manifest.csv", rows)
-    with mock.patch.object(mtio, "_read_dten", wraps=mtio._read_dten) as reader:
+    with mock.patch.object(mtio, "read_tensor", wraps=mtio.read_tensor) as reader:
         samples, _ = load_samples(tmp_path / "manifest.csv")
     assert reader.call_count == 1
     assert samples.tobytes() == np.stack([read_tensor(tmp_path / r) for r, _ in rows]).tobytes()

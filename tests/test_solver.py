@@ -141,9 +141,13 @@ def test_objective_shape_mismatch():
     with pytest.raises(ValueError):
         objective(x, cores[:2], factors, None, SolverConfig())
     # stacks of matrices, samples or cores, and two or four factors: a ValueError, not
-    # an IndexError
-    for xs, cs, fs in [(x[..., 0], cores, factors), (x, cores[..., 0], factors),
-                       (x[..., 0], cores[..., 0], factors), (x, cores, factors[:2]),
+    # an IndexError; a stack of matrix samples fails the sample-stack check first
+    for xs, cs, fs in [(x[..., 0], cores, factors), (x[..., 0], cores[..., 0], factors)]:
+        with pytest.raises(ValueError, match="expected a nonempty stack of order-3 samples"):
+            objective(xs, cs, fs, None, SolverConfig())
+        with pytest.raises(ValueError, match="expected a nonempty stack of order-3 samples"):
+            stationarity_residual(xs, cs, fs, None, SolverConfig())
+    for xs, cs, fs in [(x, cores[..., 0], factors), (x, cores, factors[:2]),
                        (x, cores, factors + factors[:1])]:
         with pytest.raises(ValueError, match="order-3 samples and cores and three factors"):
             objective(xs, cs, fs, None, SolverConfig())
