@@ -2,7 +2,10 @@
 
 A run directory holds one file per array: u1.dten, u2.dten, u3.dten (the
 factors), cores.dten (the (M, R1, R2, R3) core stack), trace.csv (one row per
-sweep) and summary.json.
+sweep) and summary.json. Tensors, trace.csv and summary.json are rewritten in
+place (_write): if the process stops or raises partway, the file being written
+starts with a zero byte, and so does the summary.json of an interrupted save_run.
+Nothing is fsynced, so a system crash or power loss can leave an older mix.
 
 Tensor file layout (all little-endian):
     magic   4 bytes  b"DTEN"
@@ -14,6 +17,7 @@ Tensor file layout (all little-endian):
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import math
@@ -24,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .solver import FactorSet
-from .tensor import _frozen
+from .tensor import _float64, _frozen
 
 MAGIC = b"DTEN"
 VERSION = 1
@@ -32,15 +36,42 @@ TRACE_HEADER = ("iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsit
                 "t_factor_ms,t_core_ms,t_eval_ms,t_other_ms")
 
 
-def write_tensor(path, t: np.ndarray) -> None:
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
+def _write(path, head, *rest) -> None:
+    """Write the bytes of head (nonempty) and then rest (bytes-like objects) to path, made
+    if missing with open(path, "wb")'s mode bits, in place: an existing file keeps its
+    blocks and is cut to the new length. Truncating it to 0 first, as open(path, "wb")
+    does, frees its blocks, and on ext4 mounted with discard that also trims them: ~0.1 ms
+    for a 1 KB file and ~1 ms for 1.2 MB, against ~0.01 and ~0.1 ms for writing in place
+    (measured on rewrites of one run directory). The first byte is
+    zeroed before the rest is written and written last, so if the process stops or raises
+    partway the file starts with a zero byte: no DTEN magic, and no JSON. Nothing is
+    fsynced: after a system crash the disk may hold any mix of old and new blocks."""
+    head, *rest = (memoryview(p).cast("B") for p in (head, *rest))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        os.write(fd, b"\0")
+        for view in (head[1:], *rest):
+            while view:         # one write stops short of 2 GiB
+                view = view[os.write(fd, view):]
+        os.ftruncate(fd, len(head) + sum(map(len, rest)))
+        os.pwrite(fd, head[:1], 0)
+    finally:
+        os.close(fd)
+
+
+def _writable(path, t) -> np.ndarray:
+    """t as a float64 array that read_tensor can read back from path, checked before any
+    file is opened."""
+    t = np.atleast_1d(_float64(t, f"{path}: the tensor"))
     if t.size == 0:             # read_tensor rejects zero extents
         raise ValueError(f"{path}: cannot write a tensor with a zero extent {t.shape}")
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<II", VERSION, t.ndim))
-        fh.write(struct.pack(f"<{t.ndim}Q", *t.shape))
-        fh.write(np.asfortranarray(t).T)    # C-contiguous, so its buffer is written as is
+    return t
+
+
+def write_tensor(path, t: np.ndarray) -> None:
+    t = np.asfortranarray(_writable(path, t))
+    _write(path, MAGIC + struct.pack(f"<II{t.ndim}Q", VERSION, t.ndim, *t.shape),
+           t.T)     # C-contiguous, so its buffer is written as is
 
 
 def read_tensor(path) -> np.ndarray:
@@ -146,21 +177,35 @@ def save_decomposition(out_dir, factors, cores) -> Path:
 
 
 def save_run(out_dir, result, summary: dict) -> None:
-    """Write factors, the core stack, the trace CSV and the JSON run summary."""
-    out = save_decomposition(out_dir, result.factors, result.cores)
-    with open(out / "trace.csv", "w") as fh:
-        fh.write(TRACE_HEADER + "\n")
-        for rec in result.trace.records:
-            it, *cols = vars(rec).values()      # the record's fields, in declaration order
-            fh.write(f"{it}," + ",".join(repr(float(c)) for c in cols) + "\n")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    """Write factors, the core stack, the trace CSV and the JSON run summary. The arrays are
+    checked and the text encoded first, so a save that rejects its input leaves an earlier
+    run in out_dir as it was. Then the first byte of an existing summary.json is zeroed and
+    summary.json is written last, so a save whose process stops or raises while writing
+    leaves a run that load_run rejects."""
+    out = Path(out_dir)
+    names = ("u1.dten", "u2.dten", "u3.dten", "cores.dten")
+    *factors, cores = [_writable(out / name, t)
+                       for name, t in zip(names, (*result.factors, result.cores))]
+    lines = [TRACE_HEADER]
+    for rec in result.trace.records:
+        it, *cols = vars(rec).values()      # the record's fields, in declaration order
+        lines.append(f"{it}," + ",".join(repr(float(c)) for c in cols))
+    trace = "".join(f"{line}\n" for line in lines).encode()
+    text = (json.dumps(summary, indent=2, sort_keys=True) + "\n").encode()
+    with contextlib.suppress(FileNotFoundError), open(out / "summary.json", "r+b") as fh:
+        fh.write(b"\0")
+    save_decomposition(out, factors, cores)
+    _write(out / "trace.csv", trace)
+    _write(out / "summary.json", text)
 
 
 def load_run(run_dir) -> tuple[FactorSet, np.ndarray, dict, list[dict]]:
     """Read back a decompose run directory: (factors, cores, summary, trace rows)."""
     run = Path(run_dir)
+    with contextlib.suppress(FileNotFoundError), open(run / "summary.json", "rb") as fh:
+        if fh.read(1) == b"\0":      # save_run zeroes it first and writes it last
+            raise ValueError(f"{run / 'summary.json'}: incomplete run: the save that wrote "
+                             f"{run} did not finish")
     factors = FactorSet(*[read_tensor(run / f"u{n}.dten") for n in (1, 2, 3)])
     if any(u.ndim != 2 for u in factors):
         raise ValueError(f"{run}: factors must be matrices, "

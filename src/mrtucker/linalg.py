@@ -12,10 +12,12 @@ import math
 
 import numpy as np
 
+from .tensor import _float64
+
 
 def _checked(a: np.ndarray, shape: str) -> np.ndarray:
     """a as a finite float64 matrix of the given shape, "tall" (rows >= cols) or "square"."""
-    a = np.asarray(a, dtype=np.float64)
+    a = _float64(a, "matrix")
     if not np.all(np.isfinite(a)):
         raise ValueError("non-finite entries in matrix")
     if a.ndim != 2 or a.shape[0] < a.shape[1] or (shape == "square" and a.shape[0] > a.shape[1]):

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import sym_eig
-from .tensor import _mode_gram, _real, _sample_stack
+from .tensor import _mode_gram, _real, _sample_stack, _typed
 
 # Gram matrices of exactly low-rank data carry noise-level eigenvalues;
 # values below this fraction of the largest are zeroed before forming ratios.
@@ -49,8 +49,7 @@ def rank_from_spectrum(values: np.ndarray, sigma: float) -> int:
 
 def select_ranks(samples: np.ndarray, policy: RankPolicy | None = None) -> tuple[int, int, int]:
     """Pick (R_1, R_2, R_3) by the per-mode energy thresholds of the policy."""
-    if policy is None:
-        policy = RankPolicy()
+    policy = RankPolicy() if policy is None else _typed(policy, RankPolicy, "policy")
     samples, _ = _sample_stack(samples)     # non-finite data fails here, not in sym_eig
     out = []
     for mode in range(3):

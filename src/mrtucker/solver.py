@@ -26,7 +26,8 @@ import numpy as np
 from .graph import WeightGraph, zero_graph
 from .linalg import _norm, qf, thin_svd
 from .tensor import (_CACHE_FLOATS, _CHUNK_FLOATS, L0_TOL, _chunks, _gram, _integer,
-                     _mode_gram, _real, _reals, _sample_stack, mode_product, multi_mode_product)
+                     _mode_gram, _real, _reals, _sample_stack, _typed, mode_product,
+                     multi_mode_product)
 
 # the largest orthogonality_defect of factors taken as orthonormal (solved ones read ~1e-15)
 ORTHO_TOL = 1e-10
@@ -135,6 +136,7 @@ def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
 def objective(samples, cores, factors, graph: WeightGraph | None,
               config: SolverConfig) -> tuple[float, float, float, float]:
     """(total, l1_term, fit_term, manifold_term) of the objective."""
+    _typed(config, SolverConfig, "config")
     samples, _ = _sample_stack(samples)      # names non-finite samples before any arithmetic
     cores, graph = _check_shapes(samples, cores, factors, graph)
     return _terms(cores, _fit(samples, cores, factors), graph.edges(), config)[:4]
@@ -338,7 +340,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
           ) -> SolveResult:
     """Run the BCD scheme until |dL| / ||X||_F < zeta or max_iter sweeps."""
     samples, norm_x = _sample_stack(samples)     # before init_state's Gram matrices
-    config = config or SolverConfig()
+    config = SolverConfig() if config is None else _typed(config, SolverConfig, "config")
     factors, cores = init_state(samples, ranks)
     graph = _check_shapes(samples, cores, factors, graph)[1]
     mats = list(factors)                 # updated in place, one mode at a time
@@ -408,6 +410,7 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
     graph component's cores together can be large while every core residual
     is small. Both vanish at stationary points.
     """
+    _typed(config, SolverConfig, "config")
     samples, _ = _sample_stack(samples)      # names non-finite samples before any arithmetic
     cores, graph = _check_shapes(samples, cores, factors, graph)
     if (defect := FactorSet(*factors).orthogonality_defect()) > ORTHO_TOL:

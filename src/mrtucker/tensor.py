@@ -45,6 +45,24 @@ def _reals(a: np.ndarray) -> bool:
     return a.dtype.kind in "iuf"
 
 
+def _float64(a, name: str) -> np.ndarray:
+    """a as a float64 array, or a ValueError naming it and its dtype unless its entries are
+    real numbers (bools, complex numbers, objects and strings are refused, not cast)."""
+    a = np.asarray(a)
+    if a.dtype != np.float64:       # so a float64 array costs what np.asarray(a, np.float64) did
+        if not _reals(a):
+            raise ValueError(f"{name} must hold integers or floats, got {a.dtype}")
+        a = a.astype(np.float64)
+    return a
+
+
+def _typed(value, cls, name: str):
+    """value, or a ValueError naming it and its type unless it is a cls."""
+    if not isinstance(value, cls):
+        raise ValueError(f"{name} must be a {cls.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _check_mode(t: np.ndarray, mode: int) -> None:
     if not 0 <= mode < t.ndim:
         raise ValueError(f"mode {mode} out of range for order-{t.ndim} tensor")
@@ -52,7 +70,7 @@ def _check_mode(t: np.ndarray, mode: int) -> None:
 
 def unfold(t: np.ndarray, mode: int) -> np.ndarray:
     """Mode-n unfolding (0-based mode)."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _float64(t, "tensor")
     _check_mode(t, mode)
     rest = math.prod(t.shape[:mode] + t.shape[mode + 1:])     # no -1: size-0 tensors work
     return np.reshape(np.moveaxis(t, mode, 0), (t.shape[mode], rest), order="F")
@@ -62,9 +80,9 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
     """Mode-n product t x_n u; u has shape (J, I_n). A matmul over t's C-order
     view as (lead, I_n, trail), or one GEMM on (lead, I_n) for the last mode, so
     a C-contiguous t is never copied; explicit extents keep size-0 tensors working."""
-    t = np.asarray(t, dtype=np.float64)
+    t = _float64(t, "tensor")
     _check_mode(t, mode)
-    u = np.asarray(u, dtype=np.float64)
+    u = _float64(u, "matrix")
     if u.ndim != 2 or u.shape[1] != t.shape[mode]:
         raise ValueError(
             f"matrix of shape {u.shape} cannot multiply mode {mode} of extent {t.shape[mode]}"
@@ -85,7 +103,7 @@ def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False)
     """
     if modes is None:
         modes = range(len(mats))
-    out = np.asarray(t, dtype=np.float64)
+    out = _float64(t, "tensor")
     for u, mode in zip(mats, modes):
         out = mode_product(out, u.T if transpose else u, mode)
     return out

@@ -8,8 +8,10 @@ input, so there the call may return a result free of NaN instead.
 
 The draws: complex, bool, object and string dtypes; NaN and +-inf entries;
 sample stacks scaled by 10^+-300; zero extents; the wrong order; mismatched
-counts; corrupt DTEN bytes, run files and manifests. The CLI's ranks, graph,
-decompose and eval must end such inputs with exit code 1 and one "error:" line.
+counts; configs and rank policies that are dicts, tuples or None; corrupt DTEN
+bytes, run files and manifests, and tensors write_tensor cannot write. The CLI's
+ranks, graph, decompose and eval must end such inputs with exit code 1 and one
+"error:" line.
 """
 
 import contextlib
@@ -33,12 +35,18 @@ from mrtucker import (
     build_graph,
     evaluate,
     generate,
+    mode_product,
+    multi_mode_product,
     nearest_centroid,
     neighbor_preservation,
     objective,
+    qf,
     select_ranks,
     solve,
     stationarity_residual,
+    sym_eig,
+    thin_svd,
+    unfold,
 )
 from mrtucker.cli import main
 from mrtucker.io import load_run, load_samples, read_tensor, save_run, write_manifest, write_tensor
@@ -48,26 +56,37 @@ X, TRUTH = generate(SynthSpec(m=12, shape=(6, 5, 4), ranks=(3, 3, 4), seed=1))
 GRAPH = build_graph(X, 3)
 RESULT = solve(X, GRAPH, (3, 3, 4), CONFIG)
 VALID = {"samples": X, "cores": RESULT.cores, "factors": RESULT.factors, "graph": GRAPH,
-         "labels": TRUTH.labels, "vals": GRAPH.vals}
+         "labels": TRUTH.labels, "vals": GRAPH.vals, "config": CONFIG, "policy": None,
+         "tensor": X[0], "matrix": RESULT.factors.u1, "symmetric": X[0, 0] @ X[0, 0].T}
 
 # each entry point, called with VALID but for the arguments given
 ENTRIES = {
-    "select_ranks": lambda a: select_ranks(a["samples"]),
+    "select_ranks": lambda a: select_ranks(a["samples"], a["policy"]),
     "build_graph": lambda a: build_graph(a["samples"], 3),
-    "solve": lambda a: solve(a["samples"], a["graph"], (3, 3, 4), CONFIG),
-    "objective": lambda a: objective(a["samples"], a["cores"], a["factors"], a["graph"], CONFIG),
+    "solve": lambda a: solve(a["samples"], a["graph"], (3, 3, 4), a["config"]),
+    "objective": lambda a: objective(a["samples"], a["cores"], a["factors"], a["graph"],
+                                     a["config"]),
     "stationarity_residual": lambda a: stationarity_residual(
-        a["samples"], a["cores"], a["factors"], a["graph"], CONFIG),
+        a["samples"], a["cores"], a["factors"], a["graph"], a["config"]),
     "evaluate": lambda a: evaluate(a["samples"], a["cores"], a["factors"], a["labels"], 3),
     "neighbor_preservation": lambda a: neighbor_preservation(a["samples"], a["cores"], 3),
     "nearest_centroid": lambda a: nearest_centroid(a["cores"], a["labels"]),
     "WeightGraph": lambda a: WeightGraph(m=GRAPH.m, rows=GRAPH.rows, cols=GRAPH.cols,
                                          vals=a["vals"], k=3, strategy="binary"),
+    "unfold": lambda a: unfold(a["tensor"], 1),
+    "mode_product": lambda a: mode_product(a["tensor"], a["matrix"].T, 0),
+    "multi_mode_product": lambda a: multi_mode_product(a["tensor"], [a["matrix"]],
+                                                       transpose=True),
+    "qf": lambda a: qf(a["matrix"]),
+    "thin_svd": lambda a: thin_svd(a["matrix"]),
+    "sym_eig": lambda a: sym_eig(a["symmetric"]),
 }
+ARRAYS = ["unfold", "mode_product", "multi_mode_product", "qf", "thin_svd", "sym_eig"]
 
 # what a message must say to name each argument
 NAMES = {"samples": "sample", "cores": "core", "factors": r"factor|U[123]", "graph": "graph",
-         "labels": "label", "vals": r"vals|edge"}
+         "labels": "label", "vals": r"vals|edge", "config": "config", "policy": "policy",
+         "tensor": "tensor", "matrix": "matrix", "symmetric": "matrix"}
 
 
 # ---- draws: (value, data) -> the malformed value
@@ -121,6 +140,18 @@ def non_orthonormal(u, data):
     return u * data.draw(st.sampled_from([2.0, 1.0 + 1e-6]))
 
 
+def dict_(v, data):
+    return data.draw(st.sampled_from([{}, {"gamma": 1.0}]))    # {} must not mean the defaults
+
+
+def tuple_(v, data):
+    return (0.9,) * 3
+
+
+def none(v, data):
+    return None
+
+
 def in_a_factor(draw):
     def replace(factors, data):
         n = data.draw(st.integers(0, 2))
@@ -139,7 +170,7 @@ SOLVER = ["objective", "stationarity_residual", "evaluate"]
 # (entry, argument, draw): the table
 CASES = (
     # sample stacks: every stage that takes them
-    [(e, "samples", d) for e in ENTRIES if e not in ("nearest_centroid", "WeightGraph")
+    [(e, "samples", d) for e in ENTRIES if e not in ("nearest_centroid", "WeightGraph", *ARRAYS)
      for d in DTYPES + [non_finite, scaled, zero_extent, wrong_order]]
     + [(e, "samples", count) for e in ["solve", "neighbor_preservation"] + SOLVER]
     # core stacks: of fixed order for the solver's checks, of any per-sample shape for the metrics
@@ -155,6 +186,15 @@ CASES = (
     + [(e, "labels", count) for e in ["evaluate", "nearest_centroid"]]
     + [("WeightGraph", "vals", d)
        for d in DTYPES + [non_finite, zero_extent, wrong_order, count]]
+    # the configs: None means the defaults where the argument is optional
+    + [("select_ranks", "policy", d) for d in [dict_, tuple_]]
+    + [("solve", "config", dict_)]
+    + [(e, "config", d) for e in ["objective", "stationarity_residual"] for d in [dict_, none]]
+    # the tensor and linear-algebra names
+    + [(e, "tensor", d) for e in ["unfold", "mode_product", "multi_mode_product"] for d in DTYPES]
+    + [(e, "matrix", d) for e in ["mode_product", "multi_mode_product", "qf", "thin_svd"]
+       for d in DTYPES]
+    + [("sym_eig", "symmetric", d) for d in DTYPES]
 )
 
 
@@ -188,12 +228,14 @@ def case_id(case) -> str:
     return f"{entry}-{argument}-{draw.__name__.rstrip('_')}"
 
 
-# the four holes this suite was written to close, and the zero-extent stack beside them:
-# each of these cases fails at the commit before its fix
+# the four holes this suite was written to close, the zero-extent stack beside them, and the
+# casts and configs it then found: each of these cases fails at the commit before its fix
 HOLES = {"select_ranks-samples-complex", "build_graph-samples-complex", "solve-samples-complex",
          "select_ranks-samples-zero_extent", "build_graph-samples-zero_extent",
          "WeightGraph-vals-bool", "WeightGraph-vals-complex", "nearest_centroid-cores-non_finite",
-         "stationarity_residual-factors-non_orthonormal"}
+         "stationarity_residual-factors-non_orthonormal", "mode_product-tensor-complex",
+         "unfold-tensor-bool", "qf-matrix-complex", "sym_eig-symmetric-string",
+         "select_ranks-policy-tuple", "solve-config-dict", "objective-config-none"}
 
 
 def test_the_table_names_every_hole():
@@ -209,7 +251,7 @@ def test_malformed_argument_is_a_value_error_naming_it(case, data):
     check(lambda: ENTRIES[entry](args), NAMES[argument], may_pass=draw is scaled)
 
 
-# ---- files: read_tensor, load_samples, load_run
+# ---- files: write_tensor, read_tensor, load_samples, load_run
 
 def corrupt(raw: bytes, data) -> bytes:
     """raw, a DTEN file's bytes, with its header or its length broken."""
@@ -236,6 +278,14 @@ def write_samples(where: Path, samples) -> Path:
         write_tensor(where / name, x)
     write_manifest(where / "manifest.csv", [(name, None) for name in names])
     return where / "manifest.csv"
+
+
+def write_non_real_tensor(where: Path, data):
+    # refused before the file is opened, so none appears
+    draw = data.draw(st.sampled_from(DTYPES))
+    path = where / "t.dten"
+    check(lambda: write_tensor(path, draw(X[0], data)), re.escape(str(path)))
+    assert not path.exists()
 
 
 def read_corrupt_tensor(where: Path, data):
@@ -293,8 +343,8 @@ def load_malformed_run(where: Path, data):
     check(lambda: load_run(run), name)
 
 
-FILE_CASES = [read_corrupt_tensor, load_samples_with_a_corrupt_row, load_samples_of_two_shapes,
-              load_malformed_manifest, load_malformed_run]
+FILE_CASES = [write_non_real_tensor, read_corrupt_tensor, load_samples_with_a_corrupt_row,
+              load_samples_of_two_shapes, load_malformed_manifest, load_malformed_run]
 
 
 @pytest.mark.parametrize("case", FILE_CASES, ids=lambda c: c.__name__)

@@ -1,8 +1,10 @@
 """On-disk tensor format, manifest loading, and run-directory round trips."""
 
+import dataclasses
 import json
 import os
 import re
+import stat
 import struct
 import tracemalloc
 from unittest import mock
@@ -476,6 +478,101 @@ def test_load_run_names_file_and_line_of_malformed_summary_or_trace(tmp_path, na
     with pytest.raises(ValueError) as exc:
         load_run(tmp_path)
     assert str(exc.value).startswith(f"{tmp_path / name}: {message}")
+
+
+# ---- the in-place writer: tensors, trace.csv and summary.json go through mtio._write
+
+def saved(m: int, ranks, sweeps: int, keys: int, seed: int):
+    """save_run's arguments: a result with m cores of the given ranks over 6x5x4 samples and
+    a trace of the given sweeps, and a summary of the given number of keys."""
+    rng = np.random.default_rng(seed)
+    factors = FactorSet(*(rng.standard_normal((i, r)) for i, r in zip((6, 5, 4), ranks)))
+    trace = SolverTrace([IterationRecord(it, *rng.standard_normal(12))
+                         for it in range(1, sweeps + 1)])
+    result = SolveResult(factors, rng.standard_normal((m, *ranks)), trace, "max_iter", sweeps)
+    return result, {f"key{k}": rng.standard_normal(k).tolist() for k in range(keys)}
+
+
+LARGE, SMALL = saved(9, (4, 4, 3), 7, 6, seed=0), saved(5, (2, 3, 2), 2, 1, seed=1)
+
+
+@given(old=st.binary(max_size=64), head=st.binary(min_size=1, max_size=16),
+       rest=st.lists(st.binary(max_size=16), max_size=3))
+def test_write_leaves_exactly_the_new_bytes_over_any_old_file(tmp_path_factory, old, head,
+                                                               rest):
+    path = tmp_path_factory.mktemp("w") / "f"
+    path.write_bytes(old)
+    mtio._write(path, head, *rest)
+    assert path.read_bytes() == head + b"".join(rest)
+
+
+@pytest.mark.parametrize("before, after", [(LARGE, SMALL), (SMALL, LARGE)],
+                         ids=["over_larger", "over_smaller"])
+def test_save_run_over_a_previous_run_equals_a_save_into_an_empty_directory(
+        tmp_path, before, after):
+    save_run(tmp_path / "over", *before)
+    save_run(tmp_path / "over", *after)
+    save_run(tmp_path / "fresh", *after)
+    names = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert sorted(p.name for p in (tmp_path / "over").iterdir()) == names
+    for name in names:
+        assert (tmp_path / "over" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+
+def test_save_that_stops_partway_leaves_a_run_load_run_rejects(tmp_path, monkeypatch):
+    # the new factors are in place, cores.dten is torn, the old trace and summary remain
+    save_run(tmp_path, *LARGE)
+    real = mtio._write
+
+    def failing(path, *parts):
+        if os.path.basename(path) == "cores.dten":
+            with mock.patch("os.ftruncate", side_effect=OSError("no space left on device")):
+                real(path, *parts)
+        real(path, *parts)
+
+    monkeypatch.setattr(mtio, "_write", failing)
+    with pytest.raises(OSError, match="no space left"):
+        save_run(tmp_path, *SMALL)
+    with pytest.raises(ValueError, match=re.escape(f"{tmp_path / 'summary.json'}: incomplete")):
+        load_run(tmp_path)
+    with pytest.raises(ValueError, match="bad magic"):
+        read_tensor(tmp_path / "cores.dten")
+
+
+@pytest.mark.parametrize("result, summary, error", [
+    (dataclasses.replace(SMALL[0], cores=SMALL[0].cores * 1j), SMALL[1], ValueError),
+    (SMALL[0], {"a": {1, 2}}, TypeError)], ids=["complex_cores", "summary_not_json"])
+def test_save_that_rejects_its_input_leaves_the_previous_run_loadable(tmp_path, result, summary,
+                                                                     error):
+    save_run(tmp_path, *LARGE)
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    with pytest.raises(error):
+        save_run(tmp_path, result, summary)
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    load_run(tmp_path)
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_new_file_has_the_mode_of_open_wb(tmp_path, umask):
+    old = os.umask(umask)
+    try:
+        write_tensor(tmp_path / "t.dten", np.ones(3))
+        write_manifest(tmp_path / "manifest.csv", [("t.dten", None)])
+        with open(tmp_path / "reference", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "reference").stat().st_mode)
+    assert mode == 0o666 & ~umask
+    for name in ("t.dten", "manifest.csv"):
+        assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
+
+
+def test_write_manifest_of_no_rows_over_a_longer_one_leaves_an_empty_file(tmp_path):
+    path = tmp_path / "manifest.csv"
+    write_manifest(path, [(f"s{i}.dten", "a") for i in range(50)])
+    write_manifest(path, [])
+    assert path.read_bytes() == b""
 
 
 def test_read_tensor_huge_header_does_not_allocate(tmp_path):
