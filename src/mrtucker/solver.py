@@ -199,6 +199,8 @@ def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np
 def update_factor(samples, cores, factors: FactorSet, n: int, projected=None) -> np.ndarray:
     """Closed-form Stiefel update for mode n: qf of the cross-product matrix.
     projected: X x_k U_k^T over the modes k before n (X itself for mode 1), if formed."""
+    if not _integer(n) or not 0 <= n <= 2:
+        raise ValueError(f"n must be an integer mode index 0, 1 or 2, got {n!r}")
     return qf(_factor_cross_product(samples, cores, factors, n, projected))
 
 
@@ -400,15 +402,16 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
                           config: SolverConfig) -> tuple[np.ndarray, np.ndarray]:
     """(factor residuals per mode, core residuals per sample).
 
-    Factor residual: Frobenius norm of the fit-term gradient -B + U_n G_(n) G_(n)^T
-    (B the factor update's cross-product; exact for orthonormal factors, so factors
-    whose orthogonality_defect exceeds ORTHO_TOL are refused) projected onto the
-    Stiefel tangent space at U_n. Core residual: distance of
-    G^(i) from the fixed point of its own prox update, whose step is
-    beta / (beta + 2 s_i) (about 1e-7 at the defaults), so it reads in those
-    units rather than in gradient units: a gradient of L that moves a whole
-    graph component's cores together can be large while every core residual
-    is small. Both vanish at stationary points.
+    Factor residual: Frobenius norm of the fit term's U_n-gradient U_n G_(n) G_(n)^T - B_n
+    (B_n the factor update's cross-product) projected onto the Stiefel tangent space at
+    U_n, Y -> Y - U_n sym(U_n^T Y). The projection maps U_n S to zero for symmetric S
+    (Absil, Mahony & Sepulchre 2008), so the residual is ||U_n sym(U_n^T B_n) - B_n||, the
+    tangent part of -B_n. That needs orthonormal factors, so factors whose
+    orthogonality_defect exceeds ORTHO_TOL are refused. Core residual: distance of G^(i)
+    from the fixed point of its own prox update, whose step is beta / (beta + 2 s_i)
+    (about 1e-7 at the defaults), so it reads in those units rather than in gradient
+    units: a gradient of L that moves a whole graph component's cores together can be
+    large while every core residual is small. Both vanish at stationary points.
     """
     _typed(config, SolverConfig, "config")
     samples, _ = _sample_stack(samples)      # names non-finite samples before any arithmetic
@@ -420,9 +423,8 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
 
     def factor_block(n, projected):     # records mode n's residual, keeps U_n
         u, b = factors[n], _factor_cross_product(samples, cores, factors, n, projected)
-        grad = u @ _mode_gram(cores, n + 1) - b
-        utg = u.T @ grad
-        factor_res[n] = _norm(grad - u @ (0.5 * (utg + utg.T)))
+        utb = u.T @ b
+        factor_res[n] = _norm(u @ (0.5 * (utb + utb.T)) - b)
         return u
 
     flat = cores.reshape(len(cores), -1)

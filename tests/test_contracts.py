@@ -47,6 +47,7 @@ from mrtucker import (
     sym_eig,
     thin_svd,
     unfold,
+    update_factor,
 )
 from mrtucker.cli import main
 from mrtucker.io import load_run, load_samples, read_tensor, save_run, write_manifest, write_tensor
@@ -57,7 +58,8 @@ GRAPH = build_graph(X, 3)
 RESULT = solve(X, GRAPH, (3, 3, 4), CONFIG)
 VALID = {"samples": X, "cores": RESULT.cores, "factors": RESULT.factors, "graph": GRAPH,
          "labels": TRUTH.labels, "vals": GRAPH.vals, "config": CONFIG, "policy": None,
-         "tensor": X[0], "matrix": RESULT.factors.u1, "symmetric": X[0, 0] @ X[0, 0].T}
+         "tensor": X[0], "matrix": RESULT.factors.u1, "symmetric": X[0, 0] @ X[0, 0].T,
+         "n": 1}
 
 # each entry point, called with VALID but for the arguments given
 ENTRIES = {
@@ -68,6 +70,7 @@ ENTRIES = {
                                      a["config"]),
     "stationarity_residual": lambda a: stationarity_residual(
         a["samples"], a["cores"], a["factors"], a["graph"], a["config"]),
+    "update_factor": lambda a: update_factor(a["samples"], a["cores"], a["factors"], a["n"]),
     "evaluate": lambda a: evaluate(a["samples"], a["cores"], a["factors"], a["labels"], 3),
     "neighbor_preservation": lambda a: neighbor_preservation(a["samples"], a["cores"], 3),
     "nearest_centroid": lambda a: nearest_centroid(a["cores"], a["labels"]),
@@ -86,7 +89,7 @@ ARRAYS = ["unfold", "mode_product", "multi_mode_product", "qf", "thin_svd", "sym
 # what a message must say to name each argument
 NAMES = {"samples": "sample", "cores": "core", "factors": r"factor|U[123]", "graph": "graph",
          "labels": "label", "vals": r"vals|edge", "config": "config", "policy": "policy",
-         "tensor": "tensor", "matrix": "matrix", "symmetric": "matrix"}
+         "tensor": "tensor", "matrix": "matrix", "symmetric": "matrix", "n": r"\bn\b"}
 
 
 # ---- draws: (value, data) -> the malformed value
@@ -152,6 +155,18 @@ def none(v, data):
     return None
 
 
+def too_large(v, data):
+    return 5
+
+
+def negative(v, data):
+    return -1
+
+
+def float_(v, data):
+    return float(v)
+
+
 def in_a_factor(draw):
     def replace(factors, data):
         n = data.draw(st.integers(0, 2))
@@ -170,7 +185,9 @@ SOLVER = ["objective", "stationarity_residual", "evaluate"]
 # (entry, argument, draw): the table
 CASES = (
     # sample stacks: every stage that takes them
-    [(e, "samples", d) for e in ENTRIES if e not in ("nearest_centroid", "WeightGraph", *ARRAYS)
+    # (update_factor's samples, cores and factors are still unchecked: only its n has rows)
+    [(e, "samples", d) for e in ENTRIES
+     if e not in ("update_factor", "nearest_centroid", "WeightGraph", *ARRAYS)
      for d in DTYPES + [non_finite, scaled, zero_extent, wrong_order]]
     + [(e, "samples", count) for e in ["solve", "neighbor_preservation"] + SOLVER]
     # core stacks: of fixed order for the solver's checks, of any per-sample shape for the metrics
@@ -195,6 +212,8 @@ CASES = (
     + [(e, "matrix", d) for e in ["mode_product", "multi_mode_product", "qf", "thin_svd"]
        for d in DTYPES]
     + [("sym_eig", "symmetric", d) for d in DTYPES]
+    # a mode index: an integer 0-2, not a bool (True would be taken as 1, U2's update)
+    + [("update_factor", "n", d) for d in [too_large, float_, negative, bool_]]
 )
 
 
@@ -229,13 +248,16 @@ def case_id(case) -> str:
 
 
 # the four holes this suite was written to close, the zero-extent stack beside them, and the
-# casts and configs it then found: each of these cases fails at the commit before its fix
+# casts, configs and mode indices it then found: each of these cases fails at the commit
+# before its fix
 HOLES = {"select_ranks-samples-complex", "build_graph-samples-complex", "solve-samples-complex",
          "select_ranks-samples-zero_extent", "build_graph-samples-zero_extent",
          "WeightGraph-vals-bool", "WeightGraph-vals-complex", "nearest_centroid-cores-non_finite",
          "stationarity_residual-factors-non_orthonormal", "mode_product-tensor-complex",
          "unfold-tensor-bool", "qf-matrix-complex", "sym_eig-symmetric-string",
-         "select_ranks-policy-tuple", "solve-config-dict", "objective-config-none"}
+         "select_ranks-policy-tuple", "solve-config-dict", "objective-config-none",
+         "update_factor-n-too_large", "update_factor-n-float", "update_factor-n-negative",
+         "update_factor-n-bool"}
 
 
 def test_the_table_names_every_hole():

@@ -82,6 +82,16 @@ def test_pipeline_forms_norm_and_raw_mode1_gram_once(loaded, copy):
     assert (raw_mode1(formed, x), norm.call_count) == ((2, 4) if copy else (1, 1))
 
 
+def test_residual_forms_no_mode_gram_of_the_cores(loaded):
+    # the factor residual is the tangent part of -B_n alone: U_n G_(n) G_(n)^T is U_n times a
+    # symmetric matrix, which the tangent projection maps to zero, so no Gram of the cores
+    g = build_graph(loaded, k=4)
+    res = solve(loaded, g, select_ranks(loaded), SolverConfig(max_iter=2))
+    with recording_forms() as formed:
+        stationarity_residual(loaded, res.cores, res.factors, g, SolverConfig())
+    assert [key for a, key in formed if np.shares_memory(a, res.cores)] == []
+
+
 @pytest.mark.parametrize("workload", sorted(TINY_WORKLOADS))
 def test_loaded_stack_outputs_equal_a_writable_copys(loaded, workload):
     k, weights, settings = TINY_WORKLOADS[workload]

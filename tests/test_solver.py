@@ -956,13 +956,18 @@ def test_stationarity_factor_gradient_matches_finite_difference():
 
 
 def test_factor_residual_matches_data_space_form():
-    # -B + U G_(n) G_(n)^T against the data-space gradient -(X_(n) - U Phi_(n)) Phi_(n)^T
-    # at the solver's output on the paper-size instance family
-    for seed in range(20):
-        x, _ = generate(SynthSpec(seed=seed))
+    # ||U sym(U^T B) - B||, the tangent part of -B alone, against the tangent part of the
+    # whole data-space gradient -(X_(n) - U Phi_(n)) Phi_(n)^T, whose U Phi_(n) Phi_(n)^T
+    # term the projection removes, at the solver's output: on the paper-size instance
+    # family, with R_n = I_n (U_n square) in mode 1 or 2, and on one 48x48x8 instance
+    instances = ([(SynthSpec(seed=seed), None) for seed in range(20)]
+                 + [(SynthSpec(seed=3), ranks) for ranks in SWEEP_RANKS[1:]]
+                 + [(SynthSpec(m=24, shape=(48, 48, 8), ranks=(10, 10, 8)), None)])
+    for spec, ranks in instances:
+        x, _ = generate(spec)
         g = build_graph(x, k=4)
         config = SolverConfig()
-        res = solve(x, g, select_ranks(x), config)
+        res = solve(x, g, select_ranks(x) if ranks is None else ranks, config)
         fr, _ = stationarity_residual(x, res.cores, res.factors, g, config)
         mats = res.factors.as_list()
         for n, u in enumerate(mats):
