@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import sym_eig
-from .tensor import _mode_gram, _real, _sample_stack, _typed
+from .linalg import _checked
+from .tensor import _float64, _mode_gram, _real, _sample_stack, _typed
 
 # Gram matrices of exactly low-rank data carry noise-level eigenvalues;
 # values below this fraction of the largest are zeroed before forming ratios.
@@ -28,9 +28,11 @@ class RankPolicy:
 
 
 def mode_energy_spectrum(samples: np.ndarray, mode: int) -> np.ndarray:
-    """Descending eigenvalues of sum_i X^(i)_(mode) X^(i)_(mode)^T."""
+    """Descending eigenvalues of sum_i X^(i)_(mode) X^(i)_(mode)^T; no eigenvectors formed."""
     # sample axis is 0, tensor modes are axes 1..N
-    return sym_eig(_mode_gram(np.asarray(samples, dtype=np.float64), mode + 1))[0]
+    with np.errstate(over="ignore", invalid="ignore"):     # reported by _checked instead
+        gram = _mode_gram(_float64(samples, "samples"), mode + 1)
+    return np.linalg.eigvalsh(_checked(gram, "square"))[::-1]
 
 
 def rank_from_spectrum(values: np.ndarray, sigma: float) -> int:
@@ -50,7 +52,7 @@ def rank_from_spectrum(values: np.ndarray, sigma: float) -> int:
 def select_ranks(samples: np.ndarray, policy: RankPolicy | None = None) -> tuple[int, int, int]:
     """Pick (R_1, R_2, R_3) by the per-mode energy thresholds of the policy."""
     policy = RankPolicy() if policy is None else _typed(policy, RankPolicy, "policy")
-    samples, _ = _sample_stack(samples)     # non-finite data fails here, not in sym_eig
+    samples, _ = _sample_stack(samples)     # non-finite data fails here, before any Gram
     out = []
     for mode in range(3):
         if mode == 2 and policy.fixed_r3_to_n:

@@ -32,6 +32,10 @@ from .tensor import (_CACHE_FLOATS, _CHUNK_FLOATS, L0_TOL, _chunks, _gram, _inte
 # the largest orthogonality_defect of factors taken as orthonormal (solved ones read ~1e-15)
 ORTHO_TOL = 1e-10
 
+# what messages call the arrays of a (cores, factors) state, and of relative_error's two
+_STATE = ("cores", "U1", "U2", "U3")
+_STATES = tuple(p + name for p in ("previous ", "") for name in _STATE)
+
 
 @dataclass
 class SolverConfig:
@@ -122,10 +126,10 @@ def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
         expected = (samples.shape[n + 1], cores.shape[n + 1])
         if u.shape != expected:
             raise ValueError(f"factor {n} has shape {u.shape}, expected {expected}")
-    names = ("cores", "U1", "U2", "U3")
-    if bad := [f"{name} ({t.dtype})" for name, t in zip(names, (cores, *factors)) if not _reals(t)]:
+    state = tuple(zip(_STATE, (cores, *factors)))
+    if bad := [f"{name} ({t.dtype})" for name, t in state if not _reals(t)]:
         raise ValueError(f"entries that are not real numbers in {', '.join(bad)}")
-    if bad := [name for name, t in zip(names, (cores, *factors)) if not np.isfinite(t).all()]:
+    if bad := [name for name, t in state if not np.isfinite(t).all()]:
         raise ValueError(f"non-finite entries (NaN or inf) in {', '.join(bad)}")
     graph = zero_graph(len(samples)) if graph is None else graph
     if graph.m != len(samples):
@@ -323,19 +327,41 @@ def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> f
     """||X_hat - X_hat_prev||_F / norm_x of two (cores, factors) states, norm_x = ||X||_F,
     at core size and exact for orthonormal factors. For modes 3, 2, 1 from h = prev_cores,
     V_n = U_n A_n + E_n (A_n = U_n^T V_n, E_n orthogonal to U_n): E_n's orthogonal part
-    adds <h, h x_n E_n^T E_n>, then h <- h x_n A_n. ||h - G||^2 is the rest."""
+    adds <h, h x_n E_n^T E_n>, then h <- h x_n A_n. ||h - G||^2 is the rest.
+
+    A ValueError for states of different shapes or counts, entries that are not real
+    numbers or a norm_x that is not a finite nonnegative number; the entries are scanned
+    for NaN or inf only when the result is not finite, so no check passes over the states."""
+    if not (_real(norm_x) and 0.0 <= norm_x < math.inf):
+        raise ValueError(f"norm_x must be a finite nonnegative real number, got {norm_x!r}")
+    prev_cores, cores = np.asarray(prev_cores), np.asarray(cores)
+    arrays = (prev_cores, *prev_factors, cores, *factors)
+    if cores.ndim != 4 or [a.shape for a in arrays] != 2 * (
+            [cores.shape] + [u.shape[:1] + (r,) for u, r in zip(factors, cores.shape[1:])]):
+        raise ValueError(f"states of different shapes: previous cores {prev_cores.shape} and "
+                         f"factors {[v.shape for v in prev_factors]}, cores {cores.shape} "
+                         f"and factors {[u.shape for u in factors]}")
+    if not all(map(_reals, arrays)):
+        bad = [f"{name} ({a.dtype})" for name, a in zip(_STATES, arrays) if not _reals(a)]
+        raise ValueError(f"entries that are not real numbers in {', '.join(bad)}")
     if not norm_x:
         return 0.0
     h, sq = prev_cores, 0.0
-    for u, v in zip(factors[::-1], prev_factors[::-1]):
-        a = u.T @ v
-        e = v - u @ a           # not I - A^T A, which cancels where the spans nearly agree
-        h = h.reshape(-1, v.shape[1])
-        sq += float(np.vdot(e.T @ e, h.T @ h))
-        h = a @ h.T             # h x_n A_n, mode n first in C order: the next mode is last
-    d = h.reshape(-1, len(cores))     # (R_1 R_2 R_3, M)
-    d -= cores.reshape(len(cores), -1).T
-    return float(np.sqrt(sq + float(np.vdot(d, d))) / norm_x)
+    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite result is named below
+        for u, v in zip(factors[::-1], prev_factors[::-1]):
+            a = u.T @ v
+            e = v - u @ a       # not I - A^T A, which cancels where the spans nearly agree
+            h = h.reshape(-1, v.shape[1])
+            sq += float(np.vdot(e.T @ e, h.T @ h))
+            h = a @ h.T         # h x_n A_n, mode n first in C order: the next mode is last
+        d = h.reshape(-1, len(cores))     # (R_1 R_2 R_3, M)
+        d -= cores.reshape(len(cores), -1).T
+        re = float(np.sqrt(sq + float(np.vdot(d, d))) / norm_x)
+    if not math.isfinite(re):
+        bad = [name for name, a in zip(_STATES, arrays) if not np.isfinite(a).all()]
+        raise ValueError(f"non-finite entries (NaN or inf) in {', '.join(bad)}" if bad else
+                         f"the relative error of finite states is {re} at norm_x = {norm_x}")
+    return re
 
 
 def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None = None,

@@ -8,7 +8,8 @@ input, so there the call may return a result free of NaN instead.
 
 The draws: complex, bool, object and string dtypes; NaN and +-inf entries;
 sample stacks scaled by 10^+-300; zero extents; the wrong order; mismatched
-counts; configs and rank policies that are dicts, tuples or None; corrupt DTEN
+counts; configs and rank policies that are dicts, tuples or None; norms that
+are bools, strings, NaN or negative; corrupt DTEN
 bytes, run files and manifests, and tensors write_tensor cannot write. The CLI's
 ranks, graph, decompose and eval must end such inputs with exit code 1 and one
 "error:" line.
@@ -17,6 +18,7 @@ ranks, graph, decompose and eval must end such inputs with exit code 1 and one
 import contextlib
 import dataclasses
 import io as stdio
+import math
 import re
 import struct
 import tempfile
@@ -41,6 +43,7 @@ from mrtucker import (
     neighbor_preservation,
     objective,
     qf,
+    relative_error,
     select_ranks,
     solve,
     stationarity_residual,
@@ -56,10 +59,12 @@ CONFIG = SolverConfig(max_iter=2)
 X, TRUTH = generate(SynthSpec(m=12, shape=(6, 5, 4), ranks=(3, 3, 4), seed=1))
 GRAPH = build_graph(X, 3)
 RESULT = solve(X, GRAPH, (3, 3, 4), CONFIG)
+PREV = solve(X, GRAPH, (3, 3, 4), SolverConfig(max_iter=1))     # the state a sweep before
 VALID = {"samples": X, "cores": RESULT.cores, "factors": RESULT.factors, "graph": GRAPH,
          "labels": TRUTH.labels, "vals": GRAPH.vals, "config": CONFIG, "policy": None,
          "tensor": X[0], "matrix": RESULT.factors.u1, "symmetric": X[0, 0] @ X[0, 0].T,
-         "n": 1}
+         "n": 1, "prev_cores": PREV.cores, "prev_factors": PREV.factors,
+         "norm_x": float(np.linalg.norm(X))}
 
 # each entry point, called with VALID but for the arguments given
 ENTRIES = {
@@ -83,13 +88,16 @@ ENTRIES = {
     "qf": lambda a: qf(a["matrix"]),
     "thin_svd": lambda a: thin_svd(a["matrix"]),
     "sym_eig": lambda a: sym_eig(a["symmetric"]),
+    "relative_error": lambda a: relative_error(a["prev_cores"], a["prev_factors"], a["cores"],
+                                               a["factors"], a["norm_x"]),
 }
 ARRAYS = ["unfold", "mode_product", "multi_mode_product", "qf", "thin_svd", "sym_eig"]
 
 # what a message must say to name each argument
 NAMES = {"samples": "sample", "cores": "core", "factors": r"factor|U[123]", "graph": "graph",
          "labels": "label", "vals": r"vals|edge", "config": "config", "policy": "policy",
-         "tensor": "tensor", "matrix": "matrix", "symmetric": "matrix", "n": r"\bn\b"}
+         "tensor": "tensor", "matrix": "matrix", "symmetric": "matrix", "n": r"\bn\b",
+         "prev_cores": "core", "prev_factors": r"factor|U[123]", "norm_x": "norm_x"}
 
 
 # ---- draws: (value, data) -> the malformed value
@@ -167,6 +175,14 @@ def float_(v, data):
     return float(v)
 
 
+def text(v, data):
+    return str(v)
+
+
+def nan(v, data):
+    return math.nan
+
+
 def in_a_factor(draw):
     def replace(factors, data):
         n = data.draw(st.integers(0, 2))
@@ -187,7 +203,8 @@ CASES = (
     # sample stacks: every stage that takes them
     # (update_factor's samples, cores and factors are still unchecked: only its n has rows)
     [(e, "samples", d) for e in ENTRIES
-     if e not in ("update_factor", "nearest_centroid", "WeightGraph", *ARRAYS)
+     if e not in ("update_factor", "nearest_centroid", "WeightGraph", "relative_error",
+                  *ARRAYS)
      for d in DTYPES + [non_finite, scaled, zero_extent, wrong_order]]
     + [(e, "samples", count) for e in ["solve", "neighbor_preservation"] + SOLVER]
     # core stacks: of fixed order for the solver's checks, of any per-sample shape for the metrics
@@ -214,6 +231,13 @@ CASES = (
     + [("sym_eig", "symmetric", d) for d in DTYPES]
     # a mode index: an integer 0-2, not a bool (True would be taken as 1, U2's update)
     + [("update_factor", "n", d) for d in [too_large, float_, negative, bool_]]
+    # relative_error's two states and norm_x: every sweep calls it, so its checks are O(1)
+    # and NaN or inf entries are named from a non-finite result
+    + [("relative_error", a, d) for a in ["prev_cores", "cores"]
+       for d in DTYPES + [non_finite, wrong_order, count]]
+    + [("relative_error", a, in_a_factor(d)) for a in ["prev_factors", "factors"]
+       for d in DTYPES + [non_finite, wrong_order, count]]
+    + [("relative_error", "norm_x", d) for d in [bool_, text, nan, negative]]
 )
 
 
@@ -257,7 +281,8 @@ HOLES = {"select_ranks-samples-complex", "build_graph-samples-complex", "solve-s
          "unfold-tensor-bool", "qf-matrix-complex", "sym_eig-symmetric-string",
          "select_ranks-policy-tuple", "solve-config-dict", "objective-config-none",
          "update_factor-n-too_large", "update_factor-n-float", "update_factor-n-negative",
-         "update_factor-n-bool"}
+         "update_factor-n-bool", "relative_error-cores-complex", "relative_error-cores-count",
+         "relative_error-prev_factors-non_finite", "relative_error-norm_x-nan"}
 
 
 def test_the_table_names_every_hole():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mrtucker import qf, sym_eig, thin_svd
+from mrtucker import SynthSpec, generate, qf, sym_eig, thin_svd
+from mrtucker.tensor import _mode_gram
 
 
 def random_stiefel(rng, rows, cols):
@@ -114,6 +115,21 @@ def test_sym_eig_rejects_asymmetric_and_nonsquare():
         sym_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
     with pytest.raises(ValueError):
         sym_eig(np.zeros((2, 3)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_sym_eig_on_a_gram_whose_squared_entries_overflow():
+    # the mode-1 Gram of the desk stack scaled by 2^260 has entries near 1e160: a plain
+    # norm overflows, but the symmetry check's norms are taken at a power-of-two scale
+    x, _ = generate(SynthSpec(seed=0))
+    g = _mode_gram(x * 2.0 ** 260, 1)
+    with np.errstate(over="ignore"):
+        assert np.isinf(np.linalg.norm(g))
+    values, vectors = sym_eig(g)
+    ref_values, ref_vectors = sym_eig(_mode_gram(x, 1))
+    assert np.abs(values - ref_values * 2.0 ** 520).max() <= 1e-13 * values[0]
+    assert np.linalg.norm(vectors.T @ vectors - np.eye(len(g))) <= 1e-12
+    assert_allclose(vectors[:, 0], ref_vectors[:, 0], atol=1e-12)
 
 
 def test_sign_convention_reproducible():

@@ -2,9 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from mrtucker import RankPolicy, SynthSpec, generate, select_ranks
+from mrtucker import RankPolicy, SynthSpec, generate, select_ranks, sym_eig
 from mrtucker.ranks import mode_energy_spectrum, rank_from_spectrum
+from mrtucker.tensor import _mode_gram
+
+from graphs import WORKLOAD_SPECS
+
+# the energy thresholds the parity tests try, the paper's 0.9 and 0.9985 among them
+SIGMAS = (0.5, 0.8, 0.9, 0.95, 0.99, 0.9985, 0.999, 1.0)
 
 
 def superdiagonal_tensor(values):
@@ -15,6 +23,68 @@ def superdiagonal_tensor(values):
     for i, v in enumerate(values):
         t[i, i, i] = v
     return t
+
+
+def eigenvector_spectrum(x, mode: int) -> np.ndarray:
+    """The oracle: the descending eigenvalues of the mode Gram by way of the full
+    eigendecomposition, sym_eig's symmetrised copy and sign fixing included."""
+    return sym_eig(_mode_gram(np.asarray(x, dtype=np.float64), mode + 1))[0]
+
+
+def assert_rank_parity(x) -> None:
+    """mode_energy_spectrum agrees with the oracle's spectra to 1e-13 of the largest
+    eigenvalue, and select_ranks picks the oracle's ranks at every sigma of SIGMAS."""
+    oracle = [eigenvector_spectrum(x, mode) for mode in range(3)]
+    for mode, want in enumerate(oracle):
+        assert np.abs(mode_energy_spectrum(x, mode) - want).max() <= 1e-13 * want[0]
+    for sigma in SIGMAS:
+        policy = RankPolicy(sigmas=(sigma,) * 3, fixed_r3_to_n=False)
+        assert select_ranks(x, policy) == tuple(rank_from_spectrum(s, sigma) for s in oracle)
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOAD_SPECS))
+@pytest.mark.parametrize("seed", [0, 17])
+def test_ranks_of_the_spectrum_alone_are_the_eigenvector_routes(workload, seed):
+    assert_rank_parity(generate(SynthSpec(**WORKLOAD_SPECS[workload][0], seed=seed))[0])
+
+
+def test_rank_parity_on_the_desk_instances():
+    # the eight instances of each benchmark desk run at seeds 0-19: generator seeds 0-159
+    for seed in range(160):
+        assert_rank_parity(generate(SynthSpec(seed=seed))[0])
+
+
+@pytest.mark.filterwarnings("error")
+def test_rank_parity_on_noiseless_and_rescaled_stacks():
+    # exactly low-rank stacks, whose Grams carry noise-level eigenvalues past the rank, and
+    # stacks scaled by 2^260 (Gram entries near 1e160, whose squares overflow) and 2^-260
+    for seed in range(10):
+        assert_rank_parity(generate(SynthSpec(noise=0.0, seed=seed))[0])
+    assert_rank_parity(generate(SynthSpec(**WORKLOAD_SPECS["large_tensor"][0], noise=0.0))[0])
+    x, _ = generate(SynthSpec(seed=0))
+    for e in (260, -260):
+        assert_rank_parity(x * 2.0 ** e)
+
+
+@st.composite
+def repeat_stacks(draw):
+    """Small stacks with exact repeats: entries from -2..2 and repeated samples, whose
+    Grams have exact zero and repeated eigenvalues, or superdiagonal samples whose Grams
+    are diagonal with repeated entries."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if draw(st.booleans()):
+        x = rng.integers(-2, 3, (draw(st.integers(1, 3)),) + tuple(
+            draw(st.integers(1, 5)) for _ in range(3))).astype(np.float64)
+        x = x[rng.integers(0, len(x), draw(st.integers(1, 6)))]
+    else:
+        x = superdiagonal_tensor(rng.choice([1.0, 2.0, 3.0], draw(st.integers(1, 6))))[None]
+    assume(np.any(x))
+    return x
+
+
+@given(repeat_stacks())
+def test_rank_parity_with_exact_repeats(x):
+    assert_rank_parity(x)
 
 
 def test_rank_from_spectrum_hand_example():
@@ -133,8 +203,28 @@ def test_non_finite_samples_rejected_before_gram(value):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mode", [0, 1, 2])
+@pytest.mark.parametrize("value", [np.nan, np.inf, 1e300])
+def test_mode_energy_spectrum_rejects_a_non_finite_gram(value, mode):
+    # unchecked samples reach the Gram: a NaN or inf entry, or one whose square overflows,
+    # is a ValueError, not a warning or a spectrum
+    x = np.ones((4, 3, 3, 2))
+    x[2, 0, 1, 1] = value
+    with pytest.raises(ValueError, match="non-finite entries in matrix"):
+        mode_energy_spectrum(x, mode)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dtype", [bool, complex, object, str])
+def test_mode_energy_spectrum_refuses_entries_that_are_not_real(dtype):
+    # refused, not cast: no imaginary part dropped, no bool or string read as a number
+    with pytest.raises(ValueError, match="samples must hold integers or floats"):
+        mode_energy_spectrum(np.ones((4, 3, 3, 2)).astype(dtype), 0)
+
+
+@pytest.mark.filterwarnings("error")
 def test_select_ranks_at_a_scale_whose_gram_norms_overflow():
-    # Gram entries near 1e160: their squares overflow, but the norms of sym_eig's
-    # symmetry check are taken at a power-of-two scale
+    # Gram entries near 1e160: their squares overflow, but the ranks read the eigenvalues
+    # alone and form no norm of a Gram (sym_eig's scaled norms: test_linalg.py)
     x, _ = generate(SynthSpec(seed=0))
     assert select_ranks(x * 2.0 ** 260) == select_ranks(x)

@@ -999,6 +999,16 @@ def test_relative_error_cases():
         assert relative_error(c0, f0, c1, f1, 0.0) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_relative_error_of_finite_states_past_float64_is_a_value_error():
+    # finite states whose distance squares past float64: neither a warning nor an inf
+    rng = np.random.default_rng(26)
+    f = random_factors(rng, (5, 4, 3), (2, 2, 3))
+    c = rng.standard_normal((3, 2, 2, 3)) * 1e200
+    with pytest.raises(ValueError, match="relative error of finite states is"):
+        relative_error(c, f, -c, f, 1.0)
+
+
 def skew_rotation(rng, n, eps):
     """exp(eps K) for a random skew K of unit Frobenius norm, by its Taylor series
     (terms past the 20th are below 1e-60 for eps <= 1e-2)."""
