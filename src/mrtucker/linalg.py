@@ -49,7 +49,12 @@ def thin_svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def qf(a: np.ndarray) -> np.ndarray:
     """Orthogonal polar factor Y V^T of the thin SVD; maximizes <U, a> over St(I, R).
     Y V^T is bitwise the same whatever the column signs, so none are fixed."""
-    u, _, vt = np.linalg.svd(_checked(a, "tall"), full_matrices=False)
+    return _qf(_checked(a, "tall"))
+
+
+def _qf(a: np.ndarray) -> np.ndarray:
+    """qf of a finite float64 matrix with rows >= cols, unchecked."""
+    u, _, vt = np.linalg.svd(a, full_matrices=False)
     return u @ vt
 
 

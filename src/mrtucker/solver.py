@@ -24,10 +24,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .graph import WeightGraph, zero_graph
-from .linalg import _norm, qf, thin_svd
+from .linalg import _norm, _qf, thin_svd
 from .tensor import (_CACHE_FLOATS, _CHUNK_FLOATS, L0_TOL, _chunks, _gram, _integer,
-                     _mode_gram, _real, _reals, _sample_stack, _typed, mode_product,
-                     multi_mode_product)
+                     _mode_gram, _mode_product, _mode_products, _real, _reals,
+                     _sample_stack, _typed, multi_mode_product)
 
 # the largest orthogonality_defect of factors taken as orthonormal (solved ones read ~1e-15)
 ORTHO_TOL = 1e-10
@@ -100,15 +100,30 @@ class SolveResult:
 
 
 def soft_threshold(x, tau, out=None):
-    """copysign(max(|x| - tau, 0), x), elementwise; out (x itself, say) takes the result."""
+    """copysign(max(|x| - tau, 0), x), elementwise; out (x itself, say) takes the result.
+    A ValueError unless x holds real numbers and tau (scalar or array) finite ones >= 0."""
+    if not _reals(a := np.asarray(x)):
+        raise ValueError(f"x must hold integers or floats, got {a.dtype}")
+    if not _reals(t := np.asarray(tau)) or not (np.isfinite(t) & (t >= 0)).all():
+        raise ValueError(f"tau must hold finite real numbers >= 0, got {tau!r}")
+    return _soft_threshold(x, tau, out)
+
+
+def _soft_threshold(x, tau, out):
+    """soft_threshold, unchecked."""
     return np.copysign(np.maximum(np.abs(x) - tau, 0.0), x, out=out)
 
 
 def reconstruct(cores: np.ndarray, factors: FactorSet) -> np.ndarray:
     """Stacked reconstructions G^(i) x_1 U_1 x_2 U_2 x_3 U_3."""
-    # most expanding product last: smaller transient copies
+    return multi_mode_product(cores, *_expansions(factors))
+
+
+def _expansions(factors) -> tuple[list, list]:
+    """(matrices, modes) of G x_1 U_1 x_2 U_2 x_3 U_3, the most expanding product last:
+    smaller transient copies."""
     order = sorted(range(3), key=lambda n: factors[n].shape[0] / factors[n].shape[1])
-    return multi_mode_product(cores, [factors[n] for n in order], modes=[n + 1 for n in order])
+    return [factors[n] for n in order], [n + 1 for n in order]
 
 
 def _check_shapes(samples, cores, factors, graph: WeightGraph | None = None):
@@ -151,7 +166,7 @@ def _fit(samples, cores, factors) -> float:
     reconstruction is formed one slice at a time, never stack-sized."""
     total = 0.0
     for s in _chunks(len(cores), math.prod(samples.shape[1:])):
-        d = reconstruct(cores[s], factors)
+        d = _mode_products(cores[s], *_expansions(factors))
         d -= samples[s]
         total += float(np.vdot(d, d))
     return 0.5 * total
@@ -184,17 +199,19 @@ def _terms(cores, fit: float, edges, config: SolverConfig):
 
 def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np.ndarray:
     """B_n = sum_i Z^(i)_(n) C^(i)_(n)^T, earlier modes on the data side and later ones on
-    the core side, each one multi_mode_product call: Z = X x_k U_k^T over modes k < n (X for
+    the core side, each one chain of mode products: Z = X x_k U_k^T over modes k < n (X for
     mode 1), C = G x_k U_k over modes k > n, last mode first, ~1 MB of Z at a time (ST-HOSVD's
-    ordering, Vannieuwenhoven, Vandebril & Meerbergen 2012). projected: Z, if formed."""
+    ordering, Vannieuwenhoven, Vandebril & Meerbergen 2012). projected: Z, if formed. B_n
+    starts as the first slab's product, not as zeros: one pass fewer over it."""
     # non-finite data is reported once, below, instead of as matmul warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        z = projected if projected is not None else multi_mode_product(
-            samples, factors[:n], modes=range(1, n + 1), transpose=True)
-        b = np.zeros((z.shape[n + 1], cores.shape[n + 1]))
-        for s in _chunks(len(z), math.prod(z.shape[1:])):
-            c = multi_mode_product(cores[s], factors[:n:-1], modes=range(3, n + 1, -1))
-            b += _gram(z[s], n + 1, c)
+        z = projected if projected is not None else _mode_products(
+            samples, [u.T for u in factors[:n]], range(1, n + 1))
+        grams = (_gram(z[s], n + 1, _mode_products(cores[s], factors[:n:-1], range(3, n + 1, -1)))
+                 for s in _chunks(len(z), math.prod(z.shape[1:])))
+        b = next(grams)
+        for g in grams:
+            b += g
     if not np.all(np.isfinite(b)):
         raise FloatingPointError("non-finite accumulation in factor update")
     return b
@@ -202,10 +219,13 @@ def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np
 
 def update_factor(samples, cores, factors: FactorSet, n: int, projected=None) -> np.ndarray:
     """Closed-form Stiefel update for mode n: qf of the cross-product matrix.
-    projected: X x_k U_k^T over the modes k before n (X itself for mode 1), if formed."""
+    projected: X x_k U_k^T over the modes k before n (X itself for mode 1), if formed.
+    The samples, cores and factors are checked as objective() checks them."""
     if not _integer(n) or not 0 <= n <= 2:
         raise ValueError(f"n must be an integer mode index 0, 1 or 2, got {n!r}")
-    return qf(_factor_cross_product(samples, cores, factors, n, projected))
+    samples, _ = _sample_stack(samples)      # names non-finite samples before any arithmetic
+    cores, _ = _check_shapes(samples, cores, factors)
+    return _qf(_factor_cross_product(samples, cores, factors, n, projected))
 
 
 def _factor_phase(samples, mats: list, factor_block) -> np.ndarray:
@@ -215,7 +235,7 @@ def _factor_phase(samples, mats: list, factor_block) -> np.ndarray:
     z = samples
     for n in range(3):
         mats[n] = factor_block(n, z)
-        z = mode_product(z, mats[n].T, n + 1)
+        z = _mode_product(z, mats[n].T, n + 1)
     return z.reshape(samples.shape[0], -1)
 
 
@@ -232,7 +252,7 @@ def _prox_tail(sums, bd, den, tau):
     sums *= 2.0
     sums += bd
     sums /= den
-    return soft_threshold(sums, tau, out=sums)
+    return _soft_threshold(sums, tau, out=sums)
 
 
 def _levels(graph: WeightGraph) -> np.ndarray:
@@ -331,7 +351,8 @@ def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> f
 
     A ValueError for states of different shapes or counts, entries that are not real
     numbers or a norm_x that is not a finite nonnegative number; the entries are scanned
-    for NaN or inf only when the result is not finite, so no check passes over the states."""
+    for NaN or inf only when the result is not finite, so no check passes over the states.
+    A square U_n spans all of its mode, so E_n = 0 and its Gram is not formed."""
     if not (_real(norm_x) and 0.0 <= norm_x < math.inf):
         raise ValueError(f"norm_x must be a finite nonnegative real number, got {norm_x!r}")
     prev_cores, cores = np.asarray(prev_cores), np.asarray(cores)
@@ -344,24 +365,31 @@ def relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> f
     if not all(map(_reals, arrays)):
         bad = [f"{name} ({a.dtype})" for name, a in zip(_STATES, arrays) if not _reals(a)]
         raise ValueError(f"entries that are not real numbers in {', '.join(bad)}")
-    if not norm_x:
-        return 0.0
-    h, sq = prev_cores, 0.0
-    with np.errstate(over="ignore", invalid="ignore"):     # a non-finite result is named below
-        for u, v in zip(factors[::-1], prev_factors[::-1]):
-            a = u.T @ v
-            e = v - u @ a       # not I - A^T A, which cancels where the spans nearly agree
-            h = h.reshape(-1, v.shape[1])
-            sq += float(np.vdot(e.T @ e, h.T @ h))
-            h = a @ h.T         # h x_n A_n, mode n first in C order: the next mode is last
-        d = h.reshape(-1, len(cores))     # (R_1 R_2 R_3, M)
-        d -= cores.reshape(len(cores), -1).T
-        re = float(np.sqrt(sq + float(np.vdot(d, d))) / norm_x)
+    re = _relative_error(prev_cores, prev_factors, cores, factors, norm_x)
     if not math.isfinite(re):
         bad = [name for name, a in zip(_STATES, arrays) if not np.isfinite(a).all()]
         raise ValueError(f"non-finite entries (NaN or inf) in {', '.join(bad)}" if bad else
                          f"the relative error of finite states is {re} at norm_x = {norm_x}")
     return re
+
+
+def _relative_error(prev_cores, prev_factors, cores, factors, norm_x: float) -> float:
+    """relative_error of two real states that fit each other, unchecked: NaN or inf where
+    relative_error names the cause."""
+    if not norm_x:      # also ||X||_F underflowed to 0: no 0 / 0
+        return 0.0
+    h, sq = prev_cores, 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for u, v in zip(factors[::-1], prev_factors[::-1]):
+            a = u.T @ v
+            h = h.reshape(-1, v.shape[1])
+            if u.shape[0] > u.shape[1]:
+                e = v - u @ a       # not I - A^T A, which cancels where the spans nearly agree
+                sq += float(np.vdot(e.T @ e, h.T @ h))
+            h = a @ h.T         # h x_n A_n, mode n first in C order: the next mode is last
+        d = h.reshape(-1, len(cores))     # (R_1 R_2 R_3, M)
+        d -= cores.reshape(len(cores), -1).T
+        return float(np.sqrt(sq + float(np.vdot(d, d))) / norm_x)
 
 
 def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None = None,
@@ -393,7 +421,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         t0 = time.perf_counter()
         old_mats = list(mats)
         d_all = _factor_phase(samples, mats,
-                              lambda n, z: update_factor(samples, cores, mats, n, z))
+                              lambda n, z: _qf(_factor_cross_product(samples, cores, mats, n, z)))
         t1 = time.perf_counter()
         np.copyto(old_flat, flat)
         _core_sweep(groups, config.beta * d_all, flat, flat)
@@ -403,7 +431,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         total, l1, fit, manifold, sparsity = _terms(cores, fit, edges, config)
         if not np.isfinite(total):
             raise FloatingPointError(f"non-finite objective at iteration {it}")
-        re = relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats, norm_x)
+        re = _relative_error(old_flat.reshape(cores.shape), old_mats, cores, mats, norm_x)
         moved = np.subtract(flat, old_flat, out=old_flat)
         bound = float(np.dot(decrease_coef, np.einsum("ip,ip->i", moved, moved)))
         t3 = time.perf_counter()

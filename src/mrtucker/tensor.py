@@ -77,9 +77,7 @@ def unfold(t: np.ndarray, mode: int) -> np.ndarray:
 
 
 def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
-    """Mode-n product t x_n u; u has shape (J, I_n). A matmul over t's C-order
-    view as (lead, I_n, trail), or one GEMM on (lead, I_n) for the last mode, so
-    a C-contiguous t is never copied; explicit extents keep size-0 tensors working."""
+    """Mode-n product t x_n u; u has shape (J, I_n)."""
     t = _float64(t, "tensor")
     _check_mode(t, mode)
     u = _float64(u, "matrix")
@@ -87,6 +85,14 @@ def mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
         raise ValueError(
             f"matrix of shape {u.shape} cannot multiply mode {mode} of extent {t.shape[mode]}"
         )
+    return _mode_product(t, u, mode)
+
+
+def _mode_product(t: np.ndarray, u: np.ndarray, mode: int) -> np.ndarray:
+    """mode_product of a float64 t and a float64 matrix u that fits its mode, unchecked: a
+    matmul over t's C-order view as (lead, I_n, trail), or one GEMM on (lead, I_n) for the
+    last mode, so a C-contiguous t is never copied; explicit extents keep size-0 tensors
+    working."""
     lead, trail = math.prod(t.shape[:mode]), math.prod(t.shape[mode + 1:])
     if mode == t.ndim - 1:
         out = t.reshape(lead, t.shape[mode]) @ u.T
@@ -107,6 +113,13 @@ def multi_mode_product(t: np.ndarray, mats, modes=None, transpose: bool = False)
     for u, mode in zip(mats, modes):
         out = mode_product(out, u.T if transpose else u, mode)
     return out
+
+
+def _mode_products(t: np.ndarray, mats, modes) -> np.ndarray:
+    """multi_mode_product of a float64 t and float64 matrices that fit, unchecked."""
+    for u, mode in zip(mats, modes):
+        t = _mode_product(t, u, mode)
+    return t
 
 
 def _chunks(rows: int, width: int, floats: int | None = None):

@@ -45,6 +45,7 @@ from mrtucker import (
     qf,
     relative_error,
     select_ranks,
+    soft_threshold,
     solve,
     stationarity_residual,
     sym_eig,
@@ -64,7 +65,7 @@ VALID = {"samples": X, "cores": RESULT.cores, "factors": RESULT.factors, "graph"
          "labels": TRUTH.labels, "vals": GRAPH.vals, "config": CONFIG, "policy": None,
          "tensor": X[0], "matrix": RESULT.factors.u1, "symmetric": X[0, 0] @ X[0, 0].T,
          "n": 1, "prev_cores": PREV.cores, "prev_factors": PREV.factors,
-         "norm_x": float(np.linalg.norm(X))}
+         "norm_x": float(np.linalg.norm(X)), "x": RESULT.cores, "tau": np.array(1e-4)}
 
 # each entry point, called with VALID but for the arguments given
 ENTRIES = {
@@ -90,6 +91,7 @@ ENTRIES = {
     "sym_eig": lambda a: sym_eig(a["symmetric"]),
     "relative_error": lambda a: relative_error(a["prev_cores"], a["prev_factors"], a["cores"],
                                                a["factors"], a["norm_x"]),
+    "soft_threshold": lambda a: soft_threshold(a["x"], a["tau"]),
 }
 ARRAYS = ["unfold", "mode_product", "multi_mode_product", "qf", "thin_svd", "sym_eig"]
 
@@ -97,7 +99,8 @@ ARRAYS = ["unfold", "mode_product", "multi_mode_product", "qf", "thin_svd", "sym
 NAMES = {"samples": "sample", "cores": "core", "factors": r"factor|U[123]", "graph": "graph",
          "labels": "label", "vals": r"vals|edge", "config": "config", "policy": "policy",
          "tensor": "tensor", "matrix": "matrix", "symmetric": "matrix", "n": r"\bn\b",
-         "prev_cores": "core", "prev_factors": r"factor|U[123]", "norm_x": "norm_x"}
+         "prev_cores": "core", "prev_factors": r"factor|U[123]", "norm_x": "norm_x",
+         "x": r"\bx\b", "tau": "tau"}
 
 
 # ---- draws: (value, data) -> the malformed value
@@ -196,14 +199,13 @@ def shorter_graph(graph, data):
 
 
 DTYPES = [complex_, bool_, object_, string]
-SOLVER = ["objective", "stationarity_residual", "evaluate"]
+SOLVER = ["objective", "stationarity_residual", "update_factor", "evaluate"]
 
 # (entry, argument, draw): the table
 CASES = (
     # sample stacks: every stage that takes them
-    # (update_factor's samples, cores and factors are still unchecked: only its n has rows)
     [(e, "samples", d) for e in ENTRIES
-     if e not in ("update_factor", "nearest_centroid", "WeightGraph", "relative_error",
+     if e not in ("nearest_centroid", "WeightGraph", "relative_error", "soft_threshold",
                   *ARRAYS)
      for d in DTYPES + [non_finite, scaled, zero_extent, wrong_order]]
     + [(e, "samples", count) for e in ["solve", "neighbor_preservation"] + SOLVER]
@@ -238,6 +240,9 @@ CASES = (
     + [("relative_error", a, in_a_factor(d)) for a in ["prev_factors", "factors"]
        for d in DTYPES + [non_finite, wrong_order, count]]
     + [("relative_error", "norm_x", d) for d in [bool_, text, nan, negative]]
+    # the soft-threshold: real entries, and a finite threshold >= 0 (a scalar or an array)
+    + [("soft_threshold", "x", d) for d in DTYPES]
+    + [("soft_threshold", "tau", d) for d in DTYPES + [non_finite, negative]]
 )
 
 
@@ -283,6 +288,13 @@ HOLES = {"select_ranks-samples-complex", "build_graph-samples-complex", "solve-s
          "update_factor-n-too_large", "update_factor-n-float", "update_factor-n-negative",
          "update_factor-n-bool", "relative_error-cores-complex", "relative_error-cores-count",
          "relative_error-prev_factors-non_finite", "relative_error-norm_x-nan"}
+# and every row of update_factor's arrays and of soft_threshold: all but update_factor's
+# scaled samples, whose finite result may stand
+BROKEN = ["complex", "bool", "object", "string", "non_finite", "wrong_order", "count"]
+HOLES |= ({f"update_factor-{a}-{d}" for a in ["samples", "cores", "factors"] for d in BROKEN}
+          | {"update_factor-samples-zero_extent", "update_factor-cores-zero_extent"}
+          | {f"soft_threshold-{a}-{d}" for a in ["x", "tau"] for d in BROKEN[:4]}
+          | {"soft_threshold-tau-non_finite", "soft_threshold-tau-negative"})
 
 
 def test_the_table_names_every_hole():

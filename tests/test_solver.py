@@ -2,11 +2,15 @@
 updates (each checked against an independent brute-force oracle), the
 stopping rule, stationarity residuals, and the per-iteration guarantees."""
 
+import collections
 import contextlib
 import dataclasses
+import functools
 import re
+import sys
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,7 +20,7 @@ from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose, assert_array_equal
 
 import mrtucker.solver as sv
-from mrtucker import tensor
+from mrtucker import linalg, tensor
 from mrtucker import (
     FactorSet,
     SolverConfig,
@@ -217,15 +221,19 @@ def test_update_factor_never_increases_objective():
 
 
 def test_update_factor_nonfinite():
-    # one FloatingPointError and no RuntimeWarning from the products before it
+    # non-finite samples: a ValueError naming them before any product; finite inputs whose
+    # cross-product overflows: one FloatingPointError. No RuntimeWarning either way
     rng = np.random.default_rng(8)
     x, cores, factors = make_instance(rng)
-    x[0, 0, 0, 0] = np.inf
+    bad = x.copy()
+    bad[0, 0, 0, 0] = np.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for n in range(3):
+            with pytest.raises(ValueError, match="samples are not finite"):
+                update_factor(bad, cores, factors, n)
             with pytest.raises(FloatingPointError):
-                update_factor(x, cores, factors, n)
+                update_factor(x * 1e150, cores * 1e160, factors, n)
 
 
 def test_factor_cross_product_matches_phi_route():
@@ -257,8 +265,8 @@ def test_factor_cross_product_peak_memory_below_half_a_projection():
     x = rng.standard_normal((300, 48, 48, 8))
     factors = random_factors(rng, x.shape[1:], (6, 6, 4))
     cores = rng.standard_normal((300, 6, 6, 4))
-    z1 = sv.mode_product(x, factors[0].T, 1)
-    z12 = sv.mode_product(z1, factors[1].T, 2)
+    z1 = tensor.mode_product(x, factors[0].T, 1)
+    z12 = tensor.mode_product(z1, factors[1].T, 2)
     y_bytes = x.nbytes * 6 // 48
     for n, z, bound in [(0, x, 0.1 * y_bytes), (0, None, 0.1 * y_bytes),
                         (1, z1, 0.3 * z1.nbytes), (2, z12, 0.3 * z12.nbytes)]:
@@ -306,11 +314,57 @@ def test_update_factor_with_and_without_projection_agree(ranks):
     x, _ = generate(SynthSpec(seed=4))
     factors, cores = init_state(x, ranks)
     u1, u2, u3 = factors
-    z1 = sv.mode_product(x, u1.T, 1)
-    projections = [x, z1, sv.mode_product(z1, u2.T, 2)]
+    z1 = tensor.mode_product(x, u1.T, 1)
+    projections = [x, z1, tensor.mode_product(z1, u2.T, 2)]
     for n, y in enumerate(projections):
         assert_array_equal(update_factor(x, cores, factors, n, y),
                            update_factor(x, cores, factors, n))
+
+
+# the public kernels check their inputs; solve and stationarity_residual check theirs once
+# and then call only the bare kernels under these names
+CHECKED = [(tensor, "mode_product"), (tensor, "multi_mode_product"), (linalg, "qf"),
+           (sv, "update_factor"), (sv, "relative_error"), (sv, "soft_threshold")]
+
+
+@contextlib.contextmanager
+def counting_checked_kernels():
+    """A Counter of calls to the CHECKED names, each wrapped on every module that binds it."""
+    calls, names = collections.Counter(), {id(getattr(m, n)): n for m, n in CHECKED}
+
+    def spy(fn, name):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    with contextlib.ExitStack() as stack:
+        bound = set()
+        for modname, mod in list(sys.modules.items()):
+            if modname == "mrtucker" or modname.startswith("mrtucker."):
+                for attr, val in list(vars(mod).items()):
+                    if id(val) in names:
+                        bound.add(names[id(val)])
+                        stack.enter_context(mock.patch.object(mod, attr, spy(val, names[id(val)])))
+        assert bound == {n for _, n in CHECKED}
+        yield calls
+
+
+@pytest.mark.parametrize("noise", [0.01, 0.0])
+def test_solve_and_residual_call_no_checked_kernel(noise):
+    # noiseless data and no edges make L ~ 0, so the sweep forms the fit slice by slice
+    x, _ = generate(SynthSpec(m=12, seed=2, noise=noise))
+    g = build_graph(x, k=3) if noise else None
+    config = SolverConfig(max_iter=2)
+    with counting_checked_kernels() as calls, mock.patch.object(sv, "_fit", wraps=sv._fit) as fit:
+        res = solve(x, g, (5, 5, 6), config)
+        stationarity_residual(x, res.cores, res.factors, g, config)
+        assert not calls
+        sv.update_factor(x, res.cores, res.factors, 0)      # the spies count
+        sv.reconstruct(res.cores, res.factors)
+    assert fit.called == (not noise)
+    assert dict(calls) == {"update_factor": 1, "multi_mode_product": 1, "mode_product": 3}
 
 
 # -------------------------------------------------------------- core update
@@ -1056,6 +1110,20 @@ def test_relative_error_matches_joint_span_and_longdouble(case):
     # explicit longdouble reconstruction, within 1e-14 of the states' scale
     # ||X_hat_0|| + ||X_hat_1|| in absolute terms (RE itself may be ~1e-10 of it)
     c0, f0, c1, f1 = case
+    scale = float(np.linalg.norm(c0) + np.linalg.norm(c1))
+    got = relative_error(c0, f0, c1, f1, scale)
+    assert abs(got - joint_span_relative_error(c0, f0, c1, f1, scale)) <= 1e-14
+    assert abs(got - longdouble_distance(c0, f0, c1, f1) / scale) <= 1e-14
+
+
+def test_relative_error_with_a_square_factor():
+    # U_3 square and V_3 = U_3 Q: E_3 = 0 and its Gram is not formed, against both oracles;
+    # modes 1 and 2 drawn on their own
+    rng = np.random.default_rng(27)
+    shape, ranks = (7, 6, 4), (2, 3, 4)
+    f1 = random_factors(rng, shape, ranks)
+    f0 = FactorSet(*random_factors(rng, shape, ranks)[:2], f1.u3 @ qf(rng.standard_normal((4, 4))))
+    c0, c1 = rng.standard_normal((2, 3) + ranks)
     scale = float(np.linalg.norm(c0) + np.linalg.norm(c1))
     got = relative_error(c0, f0, c1, f1, scale)
     assert abs(got - joint_span_relative_error(c0, f0, c1, f1, scale)) <= 1e-14
