@@ -94,10 +94,7 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     m = samples.shape[0]
     if m < 2:
         raise ValueError("need at least two samples to build a graph")
-    if not _integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k <= m - 1:
-        raise ValueError(f"k={k} out of range [1, {m - 1}]")
+    _neighbor_count(k, m)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown weight strategy {strategy!r}")
     if strategy == "heat_kernel" and not (_real(delta) and delta > 0):
@@ -108,15 +105,9 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     # numpy forms X X^T exactly symmetric, so whole rows give d2_ij and d2_ji the same bits
     d2 = flat @ flat.T
     d2 *= -2.0
-    connected = np.empty((m, m), dtype=bool)
-    for s in _chunks(m, m, _CACHE_FLOATS):     # one pass per block, while in cache
-        block = d2[s]
-        with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
-            block += sq[s, None] + sq
-        np.maximum(block, 0.0, out=block)
-        np.fill_diagonal(block[:, s.start:], np.inf)
-        _knn_rows(block, k, connected[s])
-    del block                            # a view: it would keep d2 alive past the cosine del
+    with np.errstate(over="ignore"):     # a finite ||X|| can still give inf distances
+        connected = _knn(m, k, m, lambda s: np.maximum(     # d2's rows made distances in place
+            np.add(d2[s], sq[s, None] + sq, out=d2[s]), 0.0, out=d2[s]))
     connected |= connected.T
     np.fill_diagonal(connected, False)   # an all-inf row can tie with itself
     rows, cols = divmod(np.flatnonzero(connected), m)
@@ -139,6 +130,25 @@ def build_graph(samples: np.ndarray, k: int, strategy: str = "binary",
     keep = vals > 0.0                    # heat underflow, clipped cosines
     return WeightGraph(m=m, rows=rows[keep], cols=cols[keep], vals=vals[keep], k=k,
                        strategy=strategy, delta=delta if strategy == "heat_kernel" else None)
+
+
+def _neighbor_count(k, m) -> None:
+    """A ValueError naming k unless it is an integer in [1, m - 1]."""
+    if not _integer(k):
+        raise ValueError(f"k must be an integer, got {k!r}")
+    if not 1 <= k <= m - 1:
+        raise ValueError(f"k={k} out of range [1, {m - 1}]")
+
+
+def _knn(m: int, k: int, width: int, rows) -> np.ndarray:
+    """Each of m points' k nearest others as an (m, m) mask, ties in index order; rows(s)
+    gives slice s's squared distances, in cache-sized blocks of `width` doubles a row."""
+    near = np.empty((m, m), dtype=bool)
+    for s in _chunks(m, width, _CACHE_FLOATS):
+        block = rows(s)
+        np.fill_diagonal(block[:, s.start:], np.inf)
+        _knn_rows(block, k, near[s])
+    return near
 
 
 def _knn_rows(block: np.ndarray, k: int, out: np.ndarray) -> None:

@@ -34,6 +34,7 @@ MAGIC = b"DTEN"
 VERSION = 1
 TRACE_HEADER = ("iter,L,l1_term,fit_term,manifold_term,RE,decrease_slack,sparsity,wall_ms,"
                 "t_factor_ms,t_core_ms,t_eval_ms,t_other_ms")
+_ARRAYS = ("u1.dten", "u2.dten", "u3.dten", "cores.dten")     # a run's factors and cores
 
 
 def _write(path, head, *rest) -> None:
@@ -183,9 +184,8 @@ def save_run(out_dir, result, summary: dict) -> None:
     summary.json is written last, so a save whose process stops or raises while writing
     leaves a run that load_run rejects."""
     out = Path(out_dir)
-    names = ("u1.dten", "u2.dten", "u3.dten", "cores.dten")
     *factors, cores = [_writable(out / name, t)
-                       for name, t in zip(names, (*result.factors, result.cores))]
+                       for name, t in zip(_ARRAYS, (*result.factors, result.cores))]
     lines = [TRACE_HEADER]
     for rec in result.trace.records:
         it, *cols = vars(rec).values()      # the record's fields, in declaration order
@@ -215,8 +215,7 @@ def load_run(run_dir) -> tuple[FactorSet, np.ndarray, dict, list[dict]]:
     if cores.shape[1:] != ranks:         # also rejects every order but 4
         raise ValueError(f"{run / 'cores.dten'}: core stack of shape {cores.shape}, "
                          f"expected order 4 with extents (M,) + {ranks}")
-    names = ("u1.dten", "u2.dten", "u3.dten", "cores.dten")
-    if bad := [name for name, t in zip(names, (*factors, cores)) if not np.isfinite(t).all()]:
+    if bad := [name for name, t in zip(_ARRAYS, (*factors, cores)) if not np.isfinite(t).all()]:
         raise ValueError(f"{run}: non-finite entries (NaN or inf) in {', '.join(bad)}")
     where, trace_rows = run / "summary.json", []
     try:        # a malformed summary names its file; a malformed trace row, its line too

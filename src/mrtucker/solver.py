@@ -197,16 +197,13 @@ def _terms(cores, fit: float, edges, config: SolverConfig):
     return l1 + fit + manifold, l1, fit, manifold, np.count_nonzero(a <= L0_TOL) / a.size
 
 
-def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np.ndarray:
-    """B_n = sum_i Z^(i)_(n) C^(i)_(n)^T, earlier modes on the data side and later ones on
-    the core side, each one chain of mode products: Z = X x_k U_k^T over modes k < n (X for
-    mode 1), C = G x_k U_k over modes k > n, last mode first, ~1 MB of Z at a time (ST-HOSVD's
-    ordering, Vannieuwenhoven, Vandebril & Meerbergen 2012). projected: Z, if formed. B_n
-    starts as the first slab's product, not as zeros: one pass fewer over it."""
+def _factor_cross_product(z, cores, factors, n: int) -> np.ndarray:
+    """B_n = sum_i Z^(i)_(n) C^(i)_(n)^T: Z = X x_k U_k^T over modes k < n (X for mode 1) on
+    the data side, C = G x_k U_k over modes k > n on the core side, last mode first, one chain
+    of mode products ~1 MB of Z at a time (ST-HOSVD's ordering, Vannieuwenhoven, Vandebril &
+    Meerbergen 2012). B_n starts as the first slab's product, not as zeros: one pass fewer."""
     # non-finite data is reported once, below, instead of as matmul warnings
     with np.errstate(invalid="ignore", over="ignore"):
-        z = projected if projected is not None else _mode_products(
-            samples, [u.T for u in factors[:n]], range(1, n + 1))
         grams = (_gram(z[s], n + 1, _mode_products(cores[s], factors[:n:-1], range(3, n + 1, -1)))
                  for s in _chunks(len(z), math.prod(z.shape[1:])))
         b = next(grams)
@@ -217,15 +214,16 @@ def _factor_cross_product(samples, cores, factors, n: int, projected=None) -> np
     return b
 
 
-def update_factor(samples, cores, factors: FactorSet, n: int, projected=None) -> np.ndarray:
+def update_factor(samples, cores, factors: FactorSet, n: int) -> np.ndarray:
     """Closed-form Stiefel update for mode n: qf of the cross-product matrix.
-    projected: X x_k U_k^T over the modes k before n (X itself for mode 1), if formed.
     The samples, cores and factors are checked as objective() checks them."""
     if not _integer(n) or not 0 <= n <= 2:
         raise ValueError(f"n must be an integer mode index 0, 1 or 2, got {n!r}")
     samples, _ = _sample_stack(samples)      # names non-finite samples before any arithmetic
     cores, _ = _check_shapes(samples, cores, factors)
-    return _qf(_factor_cross_product(samples, cores, factors, n, projected))
+    with np.errstate(invalid="ignore", over="ignore"):     # reported from B_n instead
+        z = _mode_products(samples, [u.T for u in factors[:n]], range(1, n + 1))
+    return _qf(_factor_cross_product(z, cores, factors, n))
 
 
 def _factor_phase(samples, mats: list, factor_block) -> np.ndarray:
@@ -421,7 +419,7 @@ def solve(samples, graph: WeightGraph | None, ranks, config: SolverConfig | None
         t0 = time.perf_counter()
         old_mats = list(mats)
         d_all = _factor_phase(samples, mats,
-                              lambda n, z: _qf(_factor_cross_product(samples, cores, mats, n, z)))
+                              lambda n, z: _qf(_factor_cross_product(z, cores, mats, n)))
         t1 = time.perf_counter()
         np.copyto(old_flat, flat)
         _core_sweep(groups, config.beta * d_all, flat, flat)
@@ -475,8 +473,8 @@ def stationarity_residual(samples, cores, factors: FactorSet, graph: WeightGraph
                          f"exceeds {ORTHO_TOL:g}")
     factor_res = np.zeros(3)
 
-    def factor_block(n, projected):     # records mode n's residual, keeps U_n
-        u, b = factors[n], _factor_cross_product(samples, cores, factors, n, projected)
+    def factor_block(n, z):             # records mode n's residual, keeps U_n
+        u, b = factors[n], _factor_cross_product(z, cores, factors, n)
         utb = u.T @ b
         factor_res[n] = _norm(u @ (0.5 * (utb + utb.T)) - b)
         return u

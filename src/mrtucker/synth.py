@@ -8,6 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .graph import _knn, _neighbor_count
 from .linalg import qf
 from .solver import FactorSet, _check_shapes, _fit, reconstruct
 from .tensor import L0_TOL, _integer, _real, _reals, _sample_stack
@@ -86,17 +87,11 @@ def generate(spec: SynthSpec) -> tuple[np.ndarray, SynthTruth]:
     return samples, SynthTruth(factors=factors, cores=cores, labels=labels)
 
 
-def _knn_sets(points, k: int) -> list[set[int]]:
-    """Each point's k nearest others, ties by lower index. Distances come from
-    direct differences, one row at a time: the Gram form |a|^2 + |b|^2 - 2<a,b>
+def _near(points: np.ndarray, k: int) -> np.ndarray:
+    """graph._knn over direct differences: the Gram form |a|^2 + |b|^2 - 2<a,b> of build_graph
     ranks near-identical points (as cores pulled to a consensus) by rounding noise."""
-    flat = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
-    out = []
-    for i, row in enumerate(flat):
-        d2 = np.einsum("jp,jp->j", diff := flat - row, diff)
-        d2[i] = np.inf
-        out.append(set(np.argsort(d2, kind="stable")[:k].tolist()))
-    return out
+    x = points.reshape(len(points), -1)
+    return _knn(len(x), k, x.size, lambda s: np.einsum("ijp,ijp->ij", d := x[s, None] - x, d))
 
 
 def _finite_cores(cores) -> np.ndarray:
@@ -120,12 +115,9 @@ def neighbor_preservation(raw: np.ndarray, cores: np.ndarray, k: int) -> float:
     cores = _finite_cores(cores)
     if len(cores) != len(raw):
         raise ValueError(f"sample and core counts differ: {len(raw)} samples, {len(cores)} cores")
-    if not _integer(k):
-        raise ValueError(f"k must be an integer, got {k!r}")
-    if not 1 <= k < len(raw):
-        raise ValueError(f"k={k} out of range [1, {len(raw) - 1}]")
-    pairs = zip(_knn_sets(raw, k), _knn_sets(cores, k))
-    return float(np.mean([len(a & b) / k for a, b in pairs]))
+    _neighbor_count(k, len(raw))
+    shared = _near(raw, k) & _near(cores, k)
+    return float(np.mean(np.count_nonzero(shared, axis=1) / k))
 
 
 def nearest_centroid(cores: np.ndarray, labels) -> float:
@@ -162,6 +154,7 @@ class EvalReport:
 
 
 def evaluate(samples, cores, factors: FactorSet, labels=None, k: int = 4) -> EvalReport:
+    _neighbor_count(k, math.inf)                    # clamped to the sample count below
     samples, norm_x = _sample_stack(samples)        # names non-finite samples
     cores, _ = _check_shapes(samples, cores, factors)
     denom = max(norm_x, np.finfo(float).tiny)

@@ -1,7 +1,7 @@
-"""The generator and the nearest-centroid metric as per-sample Python loops: one
+"""The generator and the evaluation metrics as per-sample Python loops: one
 cluster mean and one sample core per iteration, one test core classified at a
-time. The package draws and classifies whole arrays; it must match these bit
-for bit."""
+time, one point's nearest neighbours ranked at a time. The package draws,
+classifies and ranks whole arrays; it must match these bit for bit."""
 
 import numpy as np
 
@@ -72,3 +72,22 @@ def nearest_centroid_loops(cores, labels) -> float:
         if classes[int(np.argmin(d))] == labels[i]:
             correct += 1
     return correct / len(test_idx)
+
+
+def knn_sets_loops(points, k: int) -> list[set[int]]:
+    """Each point's k nearest others, ties by lower index, one point at a time: its
+    squared distances to all points by direct differences, then a stable argsort."""
+    flat = np.asarray(points, dtype=np.float64).reshape(len(points), -1)
+    out = []
+    for i, row in enumerate(flat):
+        d2 = np.einsum("jp,jp->j", diff := flat - row, diff)
+        d2[i] = np.inf
+        out.append(set(np.argsort(d2, kind="stable")[:k].tolist()))
+    return out
+
+
+def neighbor_preservation_loops(raw, cores, k: int) -> float:
+    """neighbor_preservation from the per-point sets: each sample's share of its k raw-space
+    neighbours that are among its k core-space ones, averaged."""
+    pairs = zip(knn_sets_loops(raw, k), knn_sets_loops(cores, k))
+    return float(np.mean([len(a & b) / k for a, b in pairs]))

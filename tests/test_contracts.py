@@ -9,7 +9,8 @@ input, so there the call may return a result free of NaN instead.
 The draws: complex, bool, object and string dtypes; NaN and +-inf entries;
 sample stacks scaled by 10^+-300; zero extents; the wrong order; mismatched
 counts; configs and rank policies that are dicts, tuples or None; norms that
-are bools, strings, NaN or negative; corrupt DTEN
+are bools, strings, NaN or negative; neighbour counts that are strings, None,
+bools or 0; corrupt DTEN
 bytes, run files and manifests, and tensors write_tensor cannot write. The CLI's
 ranks, graph, decompose and eval must end such inputs with exit code 1 and one
 "error:" line.
@@ -65,7 +66,7 @@ VALID = {"samples": X, "cores": RESULT.cores, "factors": RESULT.factors, "graph"
          "labels": TRUTH.labels, "vals": GRAPH.vals, "config": CONFIG, "policy": None,
          "tensor": X[0], "matrix": RESULT.factors.u1, "symmetric": X[0, 0] @ X[0, 0].T,
          "n": 1, "prev_cores": PREV.cores, "prev_factors": PREV.factors,
-         "norm_x": float(np.linalg.norm(X)), "x": RESULT.cores, "tau": np.array(1e-4)}
+         "norm_x": float(np.linalg.norm(X)), "x": RESULT.cores, "tau": np.array(1e-4), "k": 3}
 
 # each entry point, called with VALID but for the arguments given
 ENTRIES = {
@@ -77,7 +78,7 @@ ENTRIES = {
     "stationarity_residual": lambda a: stationarity_residual(
         a["samples"], a["cores"], a["factors"], a["graph"], a["config"]),
     "update_factor": lambda a: update_factor(a["samples"], a["cores"], a["factors"], a["n"]),
-    "evaluate": lambda a: evaluate(a["samples"], a["cores"], a["factors"], a["labels"], 3),
+    "evaluate": lambda a: evaluate(a["samples"], a["cores"], a["factors"], a["labels"], a["k"]),
     "neighbor_preservation": lambda a: neighbor_preservation(a["samples"], a["cores"], 3),
     "nearest_centroid": lambda a: nearest_centroid(a["cores"], a["labels"]),
     "WeightGraph": lambda a: WeightGraph(m=GRAPH.m, rows=GRAPH.rows, cols=GRAPH.cols,
@@ -100,7 +101,7 @@ NAMES = {"samples": "sample", "cores": "core", "factors": r"factor|U[123]", "gra
          "labels": "label", "vals": r"vals|edge", "config": "config", "policy": "policy",
          "tensor": "tensor", "matrix": "matrix", "symmetric": "matrix", "n": r"\bn\b",
          "prev_cores": "core", "prev_factors": r"factor|U[123]", "norm_x": "norm_x",
-         "x": r"\bx\b", "tau": "tau"}
+         "x": r"\bx\b", "tau": "tau", "k": r"\bk\b"}
 
 
 # ---- draws: (value, data) -> the malformed value
@@ -186,6 +187,10 @@ def nan(v, data):
     return math.nan
 
 
+def zero(v, data):
+    return 0
+
+
 def in_a_factor(draw):
     def replace(factors, data):
         n = data.draw(st.integers(0, 2))
@@ -243,6 +248,9 @@ CASES = (
     # the soft-threshold: real entries, and a finite threshold >= 0 (a scalar or an array)
     + [("soft_threshold", "x", d) for d in DTYPES]
     + [("soft_threshold", "tau", d) for d in DTYPES + [non_finite, negative]]
+    # evaluate's neighbour count: an integer >= 1, clamped to M - 1 (a string or None once
+    # raised a TypeError from the clamp)
+    + [("evaluate", "k", d) for d in [text, none, bool_, zero]]
 )
 
 
@@ -294,7 +302,8 @@ BROKEN = ["complex", "bool", "object", "string", "non_finite", "wrong_order", "c
 HOLES |= ({f"update_factor-{a}-{d}" for a in ["samples", "cores", "factors"] for d in BROKEN}
           | {"update_factor-samples-zero_extent", "update_factor-cores-zero_extent"}
           | {f"soft_threshold-{a}-{d}" for a in ["x", "tau"] for d in BROKEN[:4]}
-          | {"soft_threshold-tau-non_finite", "soft_threshold-tau-negative"})
+          | {"soft_threshold-tau-non_finite", "soft_threshold-tau-negative"}
+          | {"evaluate-k-text", "evaluate-k-none"})
 
 
 def test_the_table_names_every_hole():

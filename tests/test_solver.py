@@ -249,9 +249,10 @@ def test_factor_cross_product_matches_phi_route():
             phi = sv.multi_mode_product(cores, [mats[k] for k in other],
                                         modes=[k + 1 for k in other])
             expected = tensor.unfold(x, n + 1) @ tensor.unfold(phi, n + 1).T
+            z = sv.multi_mode_product(x, mats[:n], transpose=True, modes=range(1, n + 1))
             for slab in (None, 1, 20):
                 with cut_into_slabs(slab) if slab else contextlib.nullcontext():
-                    got = sv._factor_cross_product(x, cores, factors, n)
+                    got = sv._factor_cross_product(z, cores, factors, n)
                 assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
@@ -259,8 +260,8 @@ def test_factor_cross_product_peak_memory_below_half_a_projection():
     # B contracts the C-order prefix projection (X, Z_1, Z_12) and the cores expanded
     # ~1 MB of it at a time, with no copy of either: on M=300 samples of 48x48x8 at ranks
     # (6, 6, 4), a projection of up to ~5 slabs of ~1 MB, the traced peak stays below 0.3
-    # of Z_1 and Z_12 in modes 2 and 3. Mode 1 forms no projection, with X passed in or
-    # not: its peak stays below 0.1 of X x_2 U_2^T
+    # of Z_1 and Z_12 in modes 2 and 3. Mode 1 takes X itself: its peak stays below 0.1 of
+    # X x_2 U_2^T
     rng = np.random.default_rng(0)
     x = rng.standard_normal((300, 48, 48, 8))
     factors = random_factors(rng, x.shape[1:], (6, 6, 4))
@@ -268,11 +269,11 @@ def test_factor_cross_product_peak_memory_below_half_a_projection():
     z1 = tensor.mode_product(x, factors[0].T, 1)
     z12 = tensor.mode_product(z1, factors[1].T, 2)
     y_bytes = x.nbytes * 6 // 48
-    for n, z, bound in [(0, x, 0.1 * y_bytes), (0, None, 0.1 * y_bytes),
-                        (1, z1, 0.3 * z1.nbytes), (2, z12, 0.3 * z12.nbytes)]:
+    for n, z, bound in [(0, x, 0.1 * y_bytes), (1, z1, 0.3 * z1.nbytes),
+                        (2, z12, 0.3 * z12.nbytes)]:
         tracemalloc.start()
         try:
-            sv._factor_cross_product(x, cores, factors, n, projected=z)
+            sv._factor_cross_product(z, cores, factors, n)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -309,15 +310,15 @@ def test_solve_sweep_matches_replay_from_raw_stack(ranks):
 
 @pytest.mark.parametrize("ranks", SWEEP_RANKS)
 def test_update_factor_with_and_without_projection_agree(ranks):
-    # the projections the sweep passes in (X for mode 1, Z_1 = X x_1 U_1^T for mode 2
-    # and Z_12 = Z_1 x_2 U_2^T for mode 3) give the same factor, bitwise
+    # the projections the sweep passes to the factor block (X for mode 1, Z_1 = X x_1 U_1^T
+    # for mode 2 and Z_12 = Z_1 x_2 U_2^T for mode 3) give update_factor's factor, bitwise
     x, _ = generate(SynthSpec(seed=4))
     factors, cores = init_state(x, ranks)
     u1, u2, u3 = factors
     z1 = tensor.mode_product(x, u1.T, 1)
     projections = [x, z1, tensor.mode_product(z1, u2.T, 2)]
     for n, y in enumerate(projections):
-        assert_array_equal(update_factor(x, cores, factors, n, y),
+        assert_array_equal(linalg.qf(sv._factor_cross_product(y, cores, factors, n)),
                            update_factor(x, cores, factors, n))
 
 
@@ -713,6 +714,25 @@ def test_solve_noiseless_recovery():
     res = solve(x, None, (3, 3, 4), SolverConfig(gamma=1e8, zeta=1e-10))
     re = np.linalg.norm(x - reconstruct(res.cores, res.factors)) / np.linalg.norm(x)
     assert re <= 1e-3
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+@pytest.mark.parametrize("e", [4, -6, 40])
+def test_solve_scaling_relation_is_exact(e, seed):
+    # X 2^e with gamma / 2^e scales every term of L by 4^e and every block's closed form by
+    # a power of two: the same factors, the cores times 2^e and each sweep's L times 4^e,
+    # bitwise; a scale-dependent threshold or guard breaks the relation
+    x, _ = generate(SynthSpec(seed=seed))
+    graph = build_graph(x, k=4)
+    config = SolverConfig(zeta=1e-300, max_iter=5)
+    base = solve(x, graph, (5, 5, 6), config)
+    scaled = solve(np.ldexp(x, e), graph, (5, 5, 6),
+                   dataclasses.replace(config, gamma=config.gamma * 2.0 ** -e))
+    assert scaled.n_iter == base.n_iter == 5
+    for got, want in zip(scaled.factors, base.factors):
+        assert_array_equal(got, want)
+    assert_array_equal(scaled.cores, np.ldexp(base.cores, e))
+    assert_array_equal(scaled.trace.objectives(), np.ldexp(base.trace.objectives(), 2 * e))
 
 
 def test_solve_monotone_and_sufficient_decrease():

@@ -5,8 +5,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from mrtucker import synth
 from mrtucker import (
     SolverConfig,
     SynthSpec,
@@ -20,7 +23,8 @@ from mrtucker.solver import reconstruct
 from mrtucker.tensor import unfold
 
 from hooi import hooi_oracle
-from synth_loops import generate_loops, nearest_centroid_loops
+from synth_loops import (generate_loops, knn_sets_loops, nearest_centroid_loops,
+                         neighbor_preservation_loops)
 
 
 def test_generate_noiseless_multilinear_rank_bound():
@@ -194,6 +198,39 @@ def test_neighbor_preservation_near_identical_cores():
     cores = base + 1e-7 * j * offset
     raw = j * np.ones((1, 2, 2, 2))
     assert neighbor_preservation(raw, cores, 2) == 1.0
+
+
+@st.composite
+def point_stacks(draw, m=None):
+    """2-30 points (m of them, if given) of a random shape, drawn with repeats from a pool of
+    standard normal points each scaled by its own 10^-80 to 10^80; some points moved one ulp
+    in one entry, so repeats lie a rounding apart; C-contiguous, strided or Fortran-ordered."""
+    shape = (draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    m = m or draw(st.integers(2, 30))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n_pool = draw(st.integers(1, m))
+    pool = rng.standard_normal((n_pool,) + shape) * 10.0 ** rng.integers(-80, 81, (n_pool, 1, 1, 1))
+    x = pool[rng.integers(0, n_pool, m)]
+    nudged = rng.random(m) < draw(st.sampled_from([0.0, 0.3, 1.0]))
+    x[nudged, 0, 0, 0] = np.nextafter(x[nudged, 0, 0, 0], np.inf)
+    layout = draw(st.sampled_from(["C", "strided", "F"]))
+    if layout == "strided":
+        big = np.zeros((2 * m,) + shape)
+        big[::2] = x
+        return big[::2]
+    return np.asfortranarray(x) if layout == "F" else x
+
+
+@given(point_stacks(), st.data())
+def test_neighbor_masks_are_the_per_point_argsort_sets(raw, data):
+    # for every k, each row of the mask graph._knn selects over direct differences is the
+    # per-point loop's set, ties in index order; and the metric is the loop's, bitwise
+    cores = data.draw(point_stacks(m=len(raw)))
+    for k in range(1, len(raw)):
+        for x in (raw, cores):
+            assert [set(np.flatnonzero(row).tolist()) for row in synth._near(x, k)] == \
+                knn_sets_loops(x, k)
+        assert neighbor_preservation(raw, cores, k) == neighbor_preservation_loops(raw, cores, k)
 
 
 def test_neighbor_preservation_permuted_low():
